@@ -21,7 +21,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/hardware"
 	"repro/internal/pattern"
-	"repro/internal/planner"
 	"repro/internal/queryplan"
 	"repro/internal/region"
 	"repro/internal/sweep"
@@ -303,7 +302,7 @@ func BenchmarkEvaluate(b *testing.B) {
 }
 
 // BenchmarkPlanSearch is the plan-space-search headline benchmark, all
-// modes through planner.QueryPlansSearch (i.e. including lowering,
+// modes through queryplan.Rank (i.e. including lowering,
 // compilation and the exact phase-2 re-cost). Three modes:
 //
 //   - exhaustive: the left-deep enumerator on the 4-relation chain, the
@@ -322,25 +321,22 @@ func BenchmarkEvaluate(b *testing.B) {
 // interning buys. CI parses this benchmark into BENCH_plan.json via
 // cmd/benchjson -checkplan.
 func BenchmarkPlanSearch(b *testing.B) {
-	pl, err := planner.New(hardware.Origin2000())
-	if err != nil {
-		b.Fatal(err)
-	}
+	h := hardware.Origin2000()
 	cases := []struct {
 		mode     string
 		scenario string
-		so       planner.SearchOptions
+		so       queryplan.SearchOptions
 	}{
-		{"exhaustive", "join4-chain", planner.SearchOptions{Strategy: planner.SearchExhaustive}},
-		{"dp", "join4-chain", planner.SearchOptions{}},
-		{"dpcold", "join7-star", planner.SearchOptions{}},
-		{"dp", "join7-star", planner.SearchOptions{}},
-		{"dpcold", "join8-chain", planner.SearchOptions{}},
-		{"dp", "join8-chain", planner.SearchOptions{}},
-		{"dpcold", "join10-star", planner.SearchOptions{}},
-		{"dp", "join10-star", planner.SearchOptions{}},
-		{"dpcold", "join12-chain", planner.SearchOptions{}},
-		{"dp", "join12-chain", planner.SearchOptions{}},
+		{"exhaustive", "join4-chain", queryplan.SearchOptions{Strategy: queryplan.SearchExhaustive}},
+		{"dp", "join4-chain", queryplan.SearchOptions{}},
+		{"dpcold", "join7-star", queryplan.SearchOptions{}},
+		{"dp", "join7-star", queryplan.SearchOptions{}},
+		{"dpcold", "join8-chain", queryplan.SearchOptions{}},
+		{"dp", "join8-chain", queryplan.SearchOptions{}},
+		{"dpcold", "join10-star", queryplan.SearchOptions{}},
+		{"dp", "join10-star", queryplan.SearchOptions{}},
+		{"dpcold", "join12-chain", queryplan.SearchOptions{}},
+		{"dp", "join12-chain", queryplan.SearchOptions{}},
 	}
 	for _, tc := range cases {
 		sc, ok := queryplan.ScenarioByName(tc.scenario)
@@ -348,7 +344,7 @@ func BenchmarkPlanSearch(b *testing.B) {
 			b.Fatalf("unknown scenario %s", tc.scenario)
 		}
 		search := func(b *testing.B) {
-			plans, err := pl.QueryPlansSearch(sc.Query, tc.so)
+			plans, err := queryplan.Rank(h, sc.Query, tc.so)
 			if err != nil {
 				b.Fatal(err)
 			}

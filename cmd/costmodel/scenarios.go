@@ -57,7 +57,7 @@ func runScenarios(args []string) {
 		LeftDeepOnly: *ldeep,
 		Parallelism:  *par,
 	}
-	plans, err := scenario.PricePlanSearch(h, sc.Query, so)
+	plans, err := scenario.PricePlanTreesSearch(h, sc.Query, so)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -75,7 +75,8 @@ func runScenarios(args []string) {
 			Plans    int                 `json:"plans"`
 			Ranking  []server.RankedPlan `json:"ranking"`
 		}{Scenario: sc.Name, Profile: *profile, Plans: len(plans)}
-		for _, p := range plans[:n] {
+		for _, pp := range plans[:n] {
+			p := pp.Plan
 			out.Ranking = append(out.Ranking, server.RankedPlan{
 				Plan: string(p.Algorithm), MemoryNS: p.MemNS, CPUNS: p.CPUNS, TotalNS: p.TotalNS(),
 			})
@@ -90,7 +91,8 @@ func runScenarios(args []string) {
 	}
 
 	fmt.Printf("scenario: %s (%s)\nprofile:  %s\nplans:    %d\n\n", sc.Name, sc.Description, *profile, len(plans))
-	for i, p := range plans[:n] {
+	for i, pp := range plans[:n] {
+		p := pp.Plan
 		fmt.Printf("#%-3d T=%10.3fms (mem %10.3fms, cpu %10.3fms)  %s\n",
 			i+1, p.TotalNS()/1e6, p.MemNS/1e6, p.CPUNS/1e6, p.Algorithm)
 	}

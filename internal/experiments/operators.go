@@ -50,18 +50,6 @@ func fig7Row(cfg Config, x string, stats []cachesim.Stats, memNS float64,
 	return append(row, fmtMS(memNS+cpuNS), fmtMS(res.MemoryTimeNS()+cpuNS))
 }
 
-// minCapacity returns the smallest level capacity (quick-sort pattern
-// pruning bound).
-func minCapacity(cfg Config) int64 {
-	min := cfg.Hier.Levels[0].Capacity
-	for _, l := range cfg.Hier.Levels {
-		if l.Capacity < min {
-			min = l.Capacity
-		}
-	}
-	return min
-}
-
 // Fig7a: quick-sort misses and time vs relation size.
 func Fig7a(cfg Config) *Report {
 	cfg = cfg.withDefaults()
@@ -77,7 +65,7 @@ func Fig7a(cfg Config) *Report {
 		rg := newRig(cfg, 2*sz+(1<<20))
 		u := rg.table("U", n, 8, workload.FillUniform)
 		stats, memNS := rg.measure(func() { engine.QuickSort(u) })
-		p := engine.QuickSortPattern(u.Reg, minCapacity(cfg))
+		p := engine.QuickSortPattern(u.Reg, cfg.Hier.MinCapacity())
 		res, err := model.Evaluate(p)
 		if err != nil {
 			panic(err)

@@ -275,11 +275,11 @@ func runValSort(cfg Config, sz int64) (float64, pattern.Pattern) {
 	rg := newRig(cfg, sz+(1<<20))
 	u := rg.table("U", n, 8, workload.FillUniform)
 	_, memNS := rg.measure(func() { engine.QuickSort(u) })
-	return memNS, engine.QuickSortPattern(u.Reg, minCapacity(cfg))
+	return memNS, engine.QuickSortPattern(u.Reg, cfg.Hier.MinCapacity())
 }
 
 func patValSort(cfg Config, sz int64) pattern.Pattern {
-	return engine.QuickSortPattern(region.New("U", sz/8, 8), minCapacity(cfg))
+	return engine.QuickSortPattern(region.New("U", sz/8, 8), cfg.Hier.MinCapacity())
 }
 
 func runValMergeJoin(cfg Config, sz int64) (float64, pattern.Pattern) {

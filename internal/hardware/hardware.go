@@ -238,6 +238,19 @@ func (h *Hierarchy) LevelByName(name string) (Level, bool) {
 	return Level{}, false
 }
 
+// MinCapacity returns the smallest level capacity: the footprint at
+// which quick-sort access patterns stop recursing
+// (engine.QuickSortPattern's prune bound).
+func (h *Hierarchy) MinCapacity() int64 {
+	min := h.Levels[0].Capacity
+	for _, l := range h.Levels {
+		if l.Capacity < min {
+			min = l.Capacity
+		}
+	}
+	return min
+}
+
 // CyclesToNS converts CPU cycles to nanoseconds using the hierarchy clock.
 func (h *Hierarchy) CyclesToNS(cycles float64) float64 { return cycles * h.ClockNS }
 

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/hardware"
-	"repro/internal/planner"
 	"repro/internal/queryplan"
 )
 
@@ -32,9 +31,10 @@ type planTrace struct {
 	cpuBits uint64
 }
 
-func traceOf(plans []planner.Plan) []planTrace {
+func traceOf(plans []queryplan.PricedPlan) []planTrace {
 	tr := make([]planTrace, len(plans))
-	for i, p := range plans {
+	for i, pp := range plans {
+		p := pp.Plan
 		tr[i] = planTrace{
 			sig:     string(p.Algorithm),
 			memBits: math.Float64bits(p.MemNS),
@@ -50,15 +50,11 @@ func TestDPDeterministicAcrossParallelismAndRepeats(t *testing.T) {
 		reps = 3
 	}
 	h := hardware.Origin2000()
-	pl, err := planner.New(h)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, sc := range queryplan.Catalog() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			baseline, err := pl.QueryPlansSearch(sc.Query, planner.SearchOptions{Parallelism: 1})
+			baseline, err := queryplan.Rank(h, sc.Query, queryplan.SearchOptions{Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +64,7 @@ func TestDPDeterministicAcrossParallelismAndRepeats(t *testing.T) {
 			want := traceOf(baseline)
 			for _, par := range []int{1, 2, 8} {
 				for rep := 0; rep < reps; rep++ {
-					plans, err := pl.QueryPlansSearch(sc.Query, planner.SearchOptions{Parallelism: par})
+					plans, err := queryplan.Rank(h, sc.Query, queryplan.SearchOptions{Parallelism: par})
 					if err != nil {
 						t.Fatalf("par=%d rep=%d: %v", par, rep, err)
 					}

@@ -25,8 +25,8 @@ import (
 // context-free because the paper's Eq. 5.2 threads cache state through
 // the ⊕ sequence, which makes a subplan's exact cost depend on
 // everything that ran before it; pricing each operator as if it ran
-// alone is the pruning metric, not the final answer. Phase 2
-// (internal/planner) re-costs every surviving full plan exactly as the
+// alone is the pruning metric, not the final answer. Phase 2 (Rank,
+// rank.go) re-costs every surviving full plan exactly as the
 // exhaustive path does — one ⊕-sequenced compound pattern,
 // paper-faithful IR evaluation — so final rankings remain
 // bit-compatible with the algebra.
@@ -125,8 +125,8 @@ func (so SearchOptions) parallelism() int {
 // Search expands a query into physical plan trees with the configured
 // strategy (opts.Search). SearchDP prices its pruning bounds on hier,
 // which must be non-nil; SearchExhaustive ignores hier and delegates to
-// Enumerate. Score the result with internal/planner.ScoreOn — that
-// exact re-cost is phase 2 of the DP optimizer.
+// Enumerate. Rank scores the result — that exact re-cost is phase 2 of
+// the DP optimizer.
 func Search(q Query, opts Options, hier *hardware.Hierarchy) ([]*Plan, error) {
 	so := opts.Search.normalized()
 	switch so.Strategy {

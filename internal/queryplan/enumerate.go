@@ -38,7 +38,9 @@ const (
 	DefaultMaxPlans    = 4096
 )
 
-// DefaultFanouts mirrors the planner's partitioned-hash-join fan-outs.
+// DefaultFanouts are the partitioned-hash-join fan-outs every search and
+// the single-operator Planner consider: around the TLB entry count and
+// the L1/L2 line budgets.
 func DefaultFanouts() []int64 { return []int64{16, 64, 256} }
 
 func (o Options) normalized() Options {
@@ -66,7 +68,7 @@ func (o Options) normalized() Options {
 // sort-merge and hash joins always, partitioned hash joins per eligible
 // fan-out, nested-loop joins for small inputs), and hash- vs sort-based
 // variants of the query's aggregate or distinct. Plans arrive in a
-// deterministic order; score them with internal/planner.ScoreOn.
+// deterministic order; Rank prices them.
 //
 // Enumerate is the exhaustive path: complete for small queries but
 // factorial in the relation count, so larger join graphs trip the

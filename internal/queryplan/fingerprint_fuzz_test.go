@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/hardware"
-	"repro/internal/planner"
 	"repro/internal/queryplan"
 )
 
@@ -22,13 +21,9 @@ func FuzzQueryFingerprint(f *testing.F) {
 	f.Add([]byte{7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, int64(42))
 	f.Add([]byte{3, 200, 2, 1, 9, 0, 3, 77, 77, 77, 5}, int64(7))
 	f.Add([]byte{9, 255, 128, 64, 32, 16, 8, 4, 2, 1}, int64(-3))
-	f.Add([]byte{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4}, int64(1 << 40))
+	f.Add([]byte{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4}, int64(1<<40))
 
 	h := hardware.SmallTest()
-	pl, err := planner.New(h)
-	if err != nil {
-		f.Fatal(err)
-	}
 
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		q, ok := queryFromFuzz(data)
@@ -66,21 +61,21 @@ func FuzzQueryFingerprint(f *testing.F) {
 		// only by relation names). TopK: -1 disables memo pruning so the
 		// comparison is over the complete bushy plan space.
 		so := queryplan.SearchOptions{TopK: -1}
-		basePlans, err := pl.QueryPlansSearch(q, so)
+		basePlans, err := queryplan.Rank(h, q, so)
 		if err != nil {
 			t.Skip() // e.g. plan-cap errors on dense fuzzed graphs
 		}
-		permPlans, err := pl.QueryPlansSearch(pq, so)
+		permPlans, err := queryplan.Rank(h, pq, so)
 		if err != nil {
 			t.Fatalf("base searched but relabeled failed: %v", err)
 		}
 		if len(basePlans) != len(permPlans) {
 			t.Fatalf("plan counts diverged: %d vs %d", len(basePlans), len(permPlans))
 		}
-		bw, pw := basePlans[0].TotalNS(), permPlans[0].TotalNS()
+		bw, pw := basePlans[0].Plan.TotalNS(), permPlans[0].Plan.TotalNS()
 		if math.Float64bits(bw) != math.Float64bits(pw) {
 			t.Fatalf("winning costs diverged under relabeling: %g (%s) vs %g (%s)",
-				bw, basePlans[0].Algorithm, pw, permPlans[0].Algorithm)
+				bw, basePlans[0].Plan.Algorithm, pw, permPlans[0].Plan.Algorithm)
 		}
 	})
 }

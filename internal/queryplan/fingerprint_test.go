@@ -363,23 +363,13 @@ func TestRecipeBindPermuted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantCanon, wantCPU := lowerKey(t, pplans[0], smallestCapacity(h))
-		gotCanon, gotCPU := lowerKey(t, bound, smallestCapacity(h))
+		wantCanon, wantCPU := lowerKey(t, pplans[0], h.MinCapacity())
+		gotCanon, gotCPU := lowerKey(t, bound, h.MinCapacity())
 		if gotCanon != wantCanon || math.Float64bits(gotCPU) != math.Float64bits(wantCPU) {
 			t.Fatalf("trial %d: bound winner does not match the isomorph's searched winner\n  bound:    %s\n  searched: %s",
 				trial, bound.Signature(), pplans[0].Signature())
 		}
 	}
-}
-
-func smallestCapacity(h *hardware.Hierarchy) int64 {
-	min := h.Levels[0].Capacity
-	for _, l := range h.Levels {
-		if l.Capacity < min {
-			min = l.Capacity
-		}
-	}
-	return min
 }
 
 // TestRecipeCoverageErrors: structurally broken recipes fail loudly at

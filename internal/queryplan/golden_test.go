@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/hardware"
-	"repro/internal/planner"
 	"repro/internal/queryplan"
 )
 
@@ -71,18 +70,14 @@ type goldenFile struct {
 func computeGolden(t *testing.T, profile string, sc queryplan.Scenario) goldenFile {
 	t.Helper()
 	h := hardware.Profiles()[profile]()
-	pl, err := planner.New(h)
+	plans, err := queryplan.Rank(h, sc.Query, queryplan.SearchOptions{})
 	if err != nil {
-		t.Fatalf("planner.New(%s): %v", profile, err)
-	}
-	plans, err := pl.QueryPlans(sc.Query)
-	if err != nil {
-		t.Fatalf("QueryPlans(%s): %v", sc.Name, err)
+		t.Fatalf("Rank(%s): %v", sc.Name, err)
 	}
 	if len(plans) == 0 {
-		t.Fatalf("QueryPlans(%s): no plans", sc.Name)
+		t.Fatalf("Rank(%s): no plans", sc.Name)
 	}
-	best := plans[0]
+	best := plans[0].Plan
 	g := goldenFile{Scenario: sc.Name, Profile: profile, Plans: len(plans)}
 	g.Winner = goldenWinner{
 		Plan:      string(best.Algorithm),
@@ -103,7 +98,7 @@ func computeGolden(t *testing.T, profile string, sc queryplan.Scenario) goldenFi
 		if i >= rankingDepth {
 			break
 		}
-		g.Ranking = append(g.Ranking, goldenRank{Plan: string(p.Algorithm), TotalNS: p.TotalNS()})
+		g.Ranking = append(g.Ranking, goldenRank{Plan: string(p.Plan.Algorithm), TotalNS: p.Plan.TotalNS()})
 	}
 	return g
 }

@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"repro/internal/hardware"
-	"repro/internal/planner"
 	"repro/internal/queryplan"
 )
 
@@ -30,46 +29,79 @@ const parityRelations = 4
 // built single-threaded or by a worker pool.
 var parityParallelism = []int{1, 2, 8}
 
+// parityCase is one query the oracle checks. With defaultAgrees, the
+// default DP search — pruned, bushy, what serving runs — must also pick
+// the oracle's winner at the identical cost (not true in general: a
+// bushy plan may beat every left-deep one).
+type parityCase struct {
+	queryplan.Scenario
+	defaultAgrees bool
+}
+
+// parityCases are every catalog scenario of at most parityRelations
+// relations, plus a two-relation join under a group-by.
+func parityCases() []parityCase {
+	var cases []parityCase
+	for _, sc := range queryplan.Catalog() {
+		if len(sc.Query.Relations) <= parityRelations {
+			cases = append(cases, parityCase{Scenario: sc})
+		}
+	}
+	return append(cases, parityCase{Scenario: queryplan.Scenario{Name: "join2-groupby-small", Query: queryplan.Query{
+		Relations: []queryplan.Relation{
+			{Name: "U", Tuples: 20_000, Width: 16},
+			{Name: "V", Tuples: 5_000, Width: 16},
+		},
+		Joins:   []queryplan.JoinEdge{{Left: 0, Right: 1, Selectivity: 1.0 / 5_000}},
+		GroupBy: 50,
+	}}, defaultAgrees: true})
+}
+
 func TestDPMatchesExhaustiveOracle(t *testing.T) {
 	h := hardware.Origin2000()
-	pl, err := planner.New(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sc := range queryplan.Catalog() {
-		if len(sc.Query.Relations) > parityRelations {
-			continue
-		}
+	for _, sc := range parityCases() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			ex, err := pl.QueryPlansSearch(sc.Query, planner.SearchOptions{Strategy: planner.SearchExhaustive})
+			ex, err := queryplan.Rank(h, sc.Query, queryplan.SearchOptions{Strategy: queryplan.SearchExhaustive})
 			if err != nil {
 				t.Fatalf("exhaustive: %v", err)
 			}
+			if sc.defaultAgrees {
+				def, err := queryplan.Rank(h, sc.Query, queryplan.SearchOptions{})
+				if err != nil {
+					t.Fatalf("default dp: %v", err)
+				}
+				if def[0].Plan.Algorithm != ex[0].Plan.Algorithm {
+					t.Errorf("default DP winner %s != exhaustive winner %s", def[0].Plan.Algorithm, ex[0].Plan.Algorithm)
+				}
+				if def[0].Plan.TotalNS() != ex[0].Plan.TotalNS() {
+					t.Errorf("winner cost diverged: default DP %g, exhaustive %g", def[0].Plan.TotalNS(), ex[0].Plan.TotalNS())
+				}
+			}
 			for _, par := range parityParallelism {
-				dp, err := pl.QueryPlansSearch(sc.Query, planner.SearchOptions{TopK: -1, LeftDeepOnly: true, Parallelism: par})
+				dp, err := queryplan.Rank(h, sc.Query, queryplan.SearchOptions{TopK: -1, LeftDeepOnly: true, Parallelism: par})
 				if err != nil {
 					t.Fatalf("dp par=%d: %v", par, err)
 				}
 				if len(ex) == 0 || len(dp) != len(ex) {
 					t.Fatalf("par=%d plan count: exhaustive %d, DP k=∞ left-deep %d", par, len(ex), len(dp))
 				}
-				if ex[0].Algorithm != dp[0].Algorithm {
-					t.Errorf("par=%d winner diverged:\n  exhaustive: %s\n  dp:         %s", par, ex[0].Algorithm, dp[0].Algorithm)
+				if ex[0].Plan.Algorithm != dp[0].Plan.Algorithm {
+					t.Errorf("par=%d winner diverged:\n  exhaustive: %s\n  dp:         %s", par, ex[0].Plan.Algorithm, dp[0].Plan.Algorithm)
 				}
 				top := 5
 				if top > len(ex) {
 					top = len(ex)
 				}
 				for i := 0; i < top; i++ {
-					if ex[i].Algorithm != dp[i].Algorithm {
+					if ex[i].Plan.Algorithm != dp[i].Plan.Algorithm {
 						t.Errorf("par=%d ranking[%d] diverged:\n  exhaustive: %s\n  dp:         %s",
-							par, i, ex[i].Algorithm, dp[i].Algorithm)
+							par, i, ex[i].Plan.Algorithm, dp[i].Plan.Algorithm)
 					}
-					if d := relDiff(ex[i].TotalNS(), dp[i].TotalNS()); d > 1e-9 {
+					if d := relDiff(ex[i].Plan.TotalNS(), dp[i].Plan.TotalNS()); d > 1e-9 {
 						t.Errorf("par=%d ranking[%d] cost diverged: exhaustive %g, dp %g (rel %g)",
-							par, i, ex[i].TotalNS(), dp[i].TotalNS(), d)
+							par, i, ex[i].Plan.TotalNS(), dp[i].Plan.TotalNS(), d)
 					}
 				}
 			}
@@ -96,18 +128,16 @@ func TestDPBushyNeverWorseThanOracle(t *testing.T) {
 			{Left: 1, Right: 2, Selectivity: 1.0 / 1_200},
 		},
 	}
-	pl, err := planner.New(hardware.Origin2000())
+	h := hardware.Origin2000()
+	ex, err := queryplan.Rank(h, q, queryplan.SearchOptions{Strategy: queryplan.SearchExhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := pl.BestQueryPlanSearch(q, planner.SearchOptions{Strategy: planner.SearchExhaustive})
+	dp, err := queryplan.Rank(h, q, queryplan.SearchOptions{TopK: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bushy, err := pl.BestQueryPlanSearch(q, planner.SearchOptions{TopK: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	oracle, bushy := ex[0].Plan, dp[0].Plan
 	if bushy.TotalNS() > oracle.TotalNS()*(1+1e-9) {
 		t.Errorf("bushy DP winner %s (%g) worse than the left-deep oracle winner %s (%g)",
 			bushy.Algorithm, bushy.TotalNS(), oracle.Algorithm, oracle.TotalNS())

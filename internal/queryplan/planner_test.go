@@ -1,18 +1,33 @@
-package planner
+package queryplan
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/cachesim"
+	"repro/internal/engine"
 	"repro/internal/hardware"
+	"repro/internal/vmem"
+	"repro/internal/workload"
 )
 
 func newPlanner(t *testing.T) *Planner {
 	t.Helper()
-	pl, err := New(hardware.Origin2000())
+	pl, err := NewPlanner(hardware.Origin2000())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return pl
+}
+
+// bestJoin returns the cheapest join plan on the planner's hierarchy.
+func bestJoin(t *testing.T, pl *Planner, u, v Relation, outTuples int64) CostedPlan {
+	t.Helper()
+	plans, err := pl.JoinPlans(u, v, outTuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plans[0]
 }
 
 func TestJoinPlansEnumerated(t *testing.T) {
@@ -71,11 +86,7 @@ func TestBestJoinPrefersMergeWhenSorted(t *testing.T) {
 	pl := newPlanner(t)
 	u := Relation{Name: "U", Tuples: 1 << 20, Width: 8, Sorted: true}
 	v := Relation{Name: "V", Tuples: 1 << 20, Width: 8, Sorted: true}
-	best, err := pl.BestJoin(u, v, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Algorithm != MergeJoin {
+	if best := bestJoin(t, pl, u, v, 1<<20); best.Algorithm != MergeJoin {
 		t.Errorf("best = %s, want merge join for pre-sorted 8MB inputs", best.Algorithm)
 	}
 }
@@ -84,11 +95,7 @@ func TestBestJoinAvoidsNestedLoopForLargeInputs(t *testing.T) {
 	pl := newPlanner(t)
 	u := Relation{Name: "U", Tuples: 1 << 18, Width: 16}
 	v := Relation{Name: "V", Tuples: 1 << 18, Width: 16}
-	best, err := pl.BestJoin(u, v, 1<<18)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Algorithm == NestedLoopJoin {
+	if best := bestJoin(t, pl, u, v, 1<<18); best.Algorithm == NestedLoopJoin {
 		t.Error("nested loop chosen for 256k x 256k join")
 	}
 }
@@ -98,18 +105,12 @@ func TestBestJoinCrossover(t *testing.T) {
 	// L2; partitioned hash join wins once it does not.
 	pl := newPlanner(t)
 	small := Relation{Name: "U", Tuples: 1 << 14, Width: 16} // H = 512kB ≤ 4MB
-	bestSmall, err := pl.BestJoin(small, Relation{Name: "V", Tuples: 1 << 14, Width: 16}, 1<<14)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bestSmall := bestJoin(t, pl, small, Relation{Name: "V", Tuples: 1 << 14, Width: 16}, 1<<14)
 	if bestSmall.Algorithm != HashJoin {
 		t.Errorf("small join best = %s, want plain hash join", bestSmall.Algorithm)
 	}
 	big := Relation{Name: "U", Tuples: 1 << 21, Width: 16} // H = 64MB >> 4MB
-	bestBig, err := pl.BestJoin(big, Relation{Name: "V", Tuples: 1 << 21, Width: 16}, 1<<21)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bestBig := bestJoin(t, pl, big, Relation{Name: "V", Tuples: 1 << 21, Width: 16}, 1<<21)
 	if bestBig.Algorithm != PartitionedHashJoin {
 		t.Errorf("big join best = %s, want partitioned hash join", bestBig.Algorithm)
 	}
@@ -118,10 +119,11 @@ func TestBestJoinCrossover(t *testing.T) {
 func TestAggregatePlans(t *testing.T) {
 	pl := newPlanner(t)
 	u := Relation{Name: "U", Tuples: 1 << 18, Width: 8}
-	plans, err := pl.AggregatePlans(u, 1024)
+	cands, err := pl.AggregateCandidates(u, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plans := ScoreOn(hardware.Origin2000(), cands)
 	if len(plans) != 2 {
 		t.Fatalf("got %d aggregate plans", len(plans))
 	}
@@ -135,10 +137,11 @@ func TestAggregatePlans(t *testing.T) {
 func TestDistinctPlans(t *testing.T) {
 	pl := newPlanner(t)
 	u := Relation{Name: "U", Tuples: 1 << 16, Width: 8}
-	plans, err := pl.DistinctPlans(u, 1<<10)
+	cands, err := pl.DistinctCandidates(u, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plans := ScoreOn(hardware.Origin2000(), cands)
 	if len(plans) != 2 {
 		t.Fatalf("got %d distinct plans", len(plans))
 	}
@@ -150,10 +153,76 @@ func TestDistinctPlans(t *testing.T) {
 }
 
 func TestPlanString(t *testing.T) {
-	p := Plan{Algorithm: HashJoin, MemNS: 2e6, CPUNS: 1e6}
+	p := CostedPlan{Candidate: Candidate{Algorithm: HashJoin, CPUNS: 1e6}, MemNS: 2e6}
 	if p.String() == "" || p.TotalNS() != 3e6 {
 		t.Error("Plan rendering broken")
 	}
+}
+
+// executor runs join plans on the simulated engine, so the planner's
+// predicted ranking can be verified against measured memory time —
+// closing the loop the paper's evaluation closes with hardware
+// counters.
+type executor struct {
+	mem *vmem.Memory
+	sim *cachesim.Simulator
+}
+
+// newExecutor creates an executor with the given simulated-memory
+// budget on the hierarchy.
+func newExecutor(h *hardware.Hierarchy, memBytes int64) *executor {
+	mem := vmem.New(memBytes)
+	sim := cachesim.New(h)
+	mem.SetObserver(sim)
+	sim.Freeze()
+	return &executor{mem: mem, sim: sim}
+}
+
+// materializeJoinInputs creates and fills the two physical tables for a
+// join according to their logical descriptions (1:1 permutation keys,
+// or sorted keys when the relation is declared sorted).
+func (e *executor) materializeJoinInputs(u, v Relation, seed uint64) (*engine.Table, *engine.Table) {
+	rng := workload.NewRNG(seed)
+	ut := engine.NewTable(e.mem, u.Name, u.Tuples, u.Width, 32)
+	vt := engine.NewTable(e.mem, v.Name, v.Tuples, v.Width, 32)
+	if u.Sorted {
+		workload.FillSorted(ut)
+	} else {
+		workload.FillPermutation(ut, rng)
+	}
+	if v.Sorted {
+		workload.FillSorted(vt)
+	} else {
+		workload.FillPermutation(vt, rng)
+	}
+	return ut, vt
+}
+
+// runJoin executes the plan's algorithm on the materialized inputs and
+// returns (matches, measured memory time in ns).
+func (e *executor) runJoin(p CostedPlan, ut, vt *engine.Table, outCap int64) (int64, float64, error) {
+	out := engine.NewTable(e.mem, "W", outCap, ut.W(), 32)
+	e.sim.Reset()
+	e.sim.Thaw()
+	defer e.sim.Freeze()
+	var matches int64
+	switch p.Algorithm {
+	case NestedLoopJoin:
+		matches = engine.NestedLoopJoin(ut, vt, out)
+	case MergeJoin:
+		matches = engine.MergeJoin(ut, vt, out)
+	case SortMergeJoin:
+		engine.QuickSort(ut)
+		engine.QuickSort(vt)
+		matches = engine.MergeJoin(ut, vt, out)
+	case HashJoin:
+		matches = engine.HashJoin(e.mem, ut, vt, out)
+	case PartitionedHashJoin:
+		matches = engine.PartitionedHashJoin(e.mem, ut, vt, out, p.Fanout, engine.HashPartition)
+	default:
+		return 0, 0, fmt.Errorf("cannot execute %s", p.Algorithm)
+	}
+	return matches, e.sim.MemoryTimeNS(), nil
 }
 
 // TestPlannerRankingMatchesSimulation executes the top candidates of a
@@ -181,9 +250,9 @@ func TestPlannerRankingMatchesSimulation(t *testing.T) {
 		if p.Algorithm == NestedLoopJoin {
 			continue
 		}
-		ex := NewExecutor(pl, 256<<20)
-		ut, vt := ex.MaterializeJoinInputs(u, v, 11)
-		matches, measNS, err := ex.RunJoin(p, ut, vt, u.Tuples)
+		ex := newExecutor(hardware.Origin2000(), 256<<20)
+		ut, vt := ex.materializeJoinInputs(u, v, 11)
+		matches, measNS, err := ex.runJoin(p, ut, vt, u.Tuples)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +304,7 @@ func TestCandidatesCompiledOnce(t *testing.T) {
 
 	onOrigin := ScoreOn(hardware.Origin2000(), cands)
 	onX86 := ScoreOn(hardware.ModernX86(), cands)
-	for _, plans := range [][]Plan{onOrigin, onX86} {
+	for _, plans := range [][]CostedPlan{onOrigin, onX86} {
 		for _, p := range plans {
 			// Programs are shared by pointer with the candidates: no
 			// re-compilation happened.

@@ -20,10 +20,12 @@
 // cache reuse — the intermediate a join leaves in the cache discounts
 // the aggregate that consumes it.
 //
-// The package sits below internal/planner (which re-exports Relation
-// and Algorithm from here and scores enumerated plans across hardware
-// profiles) and is exposed publicly as repro/pkg/costmodel/scenario
-// together with a catalog of ready-made scenarios (catalog.go).
+// Rank (rank.go) runs the whole optimizer: search, lower, compile once
+// into the cost IR, and price every surviving plan on a hardware
+// profile, cheapest first; a Planner ranks the alternatives of a single
+// operator. The package is exposed publicly as repro/pkg/costmodel
+// (the single-operator planner) and repro/pkg/costmodel/scenario
+// (query ranking plus a catalog of ready-made scenarios, catalog.go).
 package queryplan
 
 import (
@@ -50,7 +52,7 @@ func (r Relation) Region() *region.Region {
 // Algorithm identifies a physical operator implementation.
 type Algorithm string
 
-// The physical algorithm inventory (shared with internal/planner).
+// The physical algorithm inventory.
 const (
 	NestedLoopJoin      Algorithm = "nested-loop-join"
 	MergeJoin           Algorithm = "merge-join"

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/hardware"
-	"repro/internal/planner"
 	"repro/internal/queryplan"
 )
 
@@ -25,10 +24,7 @@ func TestDPParallelSearchRace(t *testing.T) {
 	for _, sc := range queryplan.Catalog() {
 		byName[sc.Name] = sc
 	}
-	pl, err := planner.New(hardware.Origin2000())
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := hardware.Origin2000()
 	var wg sync.WaitGroup
 	for _, name := range raceScenarios {
 		sc, ok := byName[name]
@@ -42,7 +38,7 @@ func TestDPParallelSearchRace(t *testing.T) {
 			wg.Add(1)
 			go func(sc queryplan.Scenario) {
 				defer wg.Done()
-				plans, err := pl.QueryPlansSearch(sc.Query, planner.SearchOptions{Parallelism: 8})
+				plans, err := queryplan.Rank(h, sc.Query, queryplan.SearchOptions{Parallelism: 8})
 				if err != nil {
 					t.Errorf("%s: %v", sc.Name, err)
 					return

@@ -21,10 +21,9 @@
 // pattern-tree node.
 //
 // On top of the model, NewPlanner exposes a miniature cost-based
-// optimizer (join/aggregate/distinct algorithm choice, plus
-// whole-query planning via Planner.QueryCandidates — see package
-// repro/pkg/costmodel/scenario for the plan-level catalog and
-// PricePlan/BestPlan), and package repro/pkg/costmodel/server serves
+// optimizer (join/aggregate/distinct algorithm choice; package
+// repro/pkg/costmodel/scenario ranks whole query plans and carries the
+// plan-level catalog), and package repro/pkg/costmodel/server serves
 // batched evaluations and plan pricing over HTTP.
 // Package repro/pkg/costmodel/calibrate discovers an unknown machine's
 // hierarchy and registers it as a profile (the paper's Calibrator,

@@ -164,10 +164,7 @@ func TestPlannerFacade(t *testing.T) {
 			t.Errorf("plans not sorted: %v before %v", plans[i-1], plans[i])
 		}
 	}
-	best, err := pl.BestJoin(u, v, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	best := plans[0]
 	if best.Algorithm == costmodel.NestedLoopJoin {
 		t.Errorf("nested loop chosen for 1M⋈1M: %v", best)
 	}

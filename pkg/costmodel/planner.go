@@ -1,49 +1,28 @@
 package costmodel
 
-import "repro/internal/planner"
+import "repro/internal/queryplan"
 
 // Planner surface: a miniature cost-based physical optimizer built on
 // the model — the consumer the paper designed the model for. Given
-// logical data volumes it enumerates candidate physical plans, costs
-// each one's access pattern, and ranks them cheapest first.
-//
-// Beyond single operators, Planner.QueryCandidates / QueryPlans /
-// BestQueryPlan rank whole query plans (join tree plus an algorithm
-// choice per operator) for a logical query, searched by the two-phase
-// DP optimizer — memoized connected subgraphs, bushy trees, top-k
-// pruning, exact re-cost of the survivors (docs/optimizer.md). The
-// *Search variants take SearchOptions (strategy, top-k, bushy on/off);
-// package repro/pkg/costmodel/scenario wraps those with a ready-made
-// scenario catalog.
+// logical data volumes it enumerates candidate physical plans of a
+// join, grouping or duplicate elimination, costs each one's access
+// pattern, and ranks them cheapest first. Whole query plans (join tree
+// plus an algorithm choice per operator) are ranked by package
+// repro/pkg/costmodel/scenario, which returns the same Plan type.
 type (
 	// Planner costs candidate plans on one hardware profile.
-	Planner = planner.Planner
+	Planner = queryplan.Planner
 	// Relation describes an input's logical properties (cardinality,
 	// tuple width, sortedness).
-	Relation = planner.Relation
+	Relation = queryplan.Relation
 	// Plan is one costed physical alternative.
-	Plan = planner.Plan
+	Plan = queryplan.CostedPlan
 	// Candidate is one enumerated physical alternative with its access
 	// pattern compiled once into the cost IR; re-score it on any
 	// profile with ScorePlans without re-compiling.
-	Candidate = planner.Candidate
+	Candidate = queryplan.Candidate
 	// Algorithm identifies a physical operator implementation.
-	Algorithm = planner.Algorithm
-	// CPUCosts are the per-tuple T_cpu constants per algorithm step.
-	CPUCosts = planner.CPUCosts
-	// SearchOptions tune the query-plan search (strategy, memo top-k,
-	// bushy on/off) for Planner.QueryCandidatesSearch and friends; the
-	// zero value is the DP search with defaults.
-	SearchOptions = planner.SearchOptions
-	// SearchStrategy selects the plan-space search engine.
-	SearchStrategy = planner.SearchStrategy
-)
-
-// The plan-space search strategies: the memoized DP search over
-// connected subgraphs (default) and the exhaustive left-deep oracle.
-const (
-	SearchDP         = planner.SearchDP
-	SearchExhaustive = planner.SearchExhaustive
+	Algorithm = queryplan.Algorithm
 )
 
 // ScorePlans costs every candidate on the hierarchy from its compiled
@@ -51,25 +30,21 @@ const (
 // first. Use Planner.JoinCandidates / AggregateCandidates /
 // DistinctCandidates to enumerate, then score the same candidates
 // across as many profiles as needed.
-func ScorePlans(h *Hierarchy, cands []Candidate) []Plan { return planner.ScoreOn(h, cands) }
+func ScorePlans(h *Hierarchy, cands []Candidate) []Plan { return queryplan.ScoreOn(h, cands) }
 
 // The planner's physical algorithm inventory, re-exported.
 const (
-	NestedLoopJoin      = planner.NestedLoopJoin
-	MergeJoin           = planner.MergeJoin
-	SortMergeJoin       = planner.SortMergeJoin
-	HashJoin            = planner.HashJoin
-	PartitionedHashJoin = planner.PartitionedHashJoin
-	QuickSort           = planner.QuickSort
-	HashAggregate       = planner.HashAggregate
-	SortAggregate       = planner.SortAggregate
-	HashDistinct        = planner.HashDistinct
-	SortDistinct        = planner.SortDistinct
+	NestedLoopJoin      = queryplan.NestedLoopJoin
+	MergeJoin           = queryplan.MergeJoin
+	SortMergeJoin       = queryplan.SortMergeJoin
+	HashJoin            = queryplan.HashJoin
+	PartitionedHashJoin = queryplan.PartitionedHashJoin
+	QuickSort           = queryplan.QuickSort
+	HashAggregate       = queryplan.HashAggregate
+	SortAggregate       = queryplan.SortAggregate
+	HashDistinct        = queryplan.HashDistinct
+	SortDistinct        = queryplan.SortDistinct
 )
 
-// NewPlanner creates a planner for the hierarchy.
-func NewPlanner(h *Hierarchy) (*Planner, error) { return planner.New(h) }
-
-// DefaultCPUCosts returns the planner's default per-tuple CPU cost
-// constants.
-func DefaultCPUCosts() CPUCosts { return planner.DefaultCPU() }
+// NewPlanner creates a planner for the hierarchy, which must validate.
+func NewPlanner(h *Hierarchy) (*Planner, error) { return queryplan.NewPlanner(h) }

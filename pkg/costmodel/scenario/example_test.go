@@ -7,10 +7,10 @@ import (
 	"repro/pkg/costmodel/scenario"
 )
 
-// ExampleBestPlan prices a two-table equi-join where both inputs are
-// already key-ordered: the merge join needs no sort, so it wins on
-// every sane hierarchy.
-func ExampleBestPlan() {
+// ExamplePricePlanTreesSearch prices a two-table equi-join where both
+// inputs are already key-ordered: the merge join needs no sort, so it
+// wins on every sane hierarchy.
+func ExamplePricePlanTreesSearch() {
 	h, err := costmodel.Profile("origin2000")
 	if err != nil {
 		panic(err)
@@ -22,11 +22,11 @@ func ExampleBestPlan() {
 		},
 		Joins: []scenario.JoinEdge{{Left: 0, Right: 1, Selectivity: 1.0 / 200_000}},
 	}
-	best, err := scenario.BestPlan(h, q)
+	plans, err := scenario.PricePlanTreesSearch(h, q, scenario.SearchOptions{})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(best.Algorithm)
+	fmt.Println(plans[0].Plan.Algorithm)
 	// Output:
 	// (U mj V)
 }

@@ -4,16 +4,17 @@
 //
 // A Query describes the logical shape — relations, a join graph with
 // selectivities, optional filters/projections and an aggregate,
-// distinct or order-by on top. PricePlan searches its physical
-// alternatives — by default a dynamic program over the connected
-// subgraphs of the join graph (memoized subplans, bushy trees, top-k
-// pruning by a context-free cost bound; see docs/optimizer.md), with
-// the exhaustive left-deep enumerator available via SearchOptions as a
-// small-query oracle — lowers each surviving plan to one compound
-// access pattern (operators sequenced with ⊕ so cache state threads
-// between them, MonetDB-style full materialization), compiles it once
-// into the cost IR, and ranks the plans by predicted total time on a
-// hardware profile. BestPlan returns the winner.
+// distinct or order-by on top. PricePlanTreesSearch searches its
+// physical alternatives — by default a dynamic program over the
+// connected subgraphs of the join graph (memoized subplans, bushy
+// trees, top-k pruning by a context-free cost bound; see
+// docs/optimizer.md), with the exhaustive left-deep enumerator
+// available via SearchOptions as a small-query oracle — lowers each
+// surviving plan to one compound access pattern (operators sequenced
+// with ⊕ so cache state threads between them, MonetDB-style full
+// materialization), compiles it once into the cost IR, and ranks the
+// plans by predicted total time on a hardware profile, cheapest first.
+// RescorePlans re-prices given plan trees without searching.
 //
 // Catalog ships ready-made scenarios — single-operator baselines,
 // hash-vs-sort decisions, 2–4 relation join-order problems, TPC-H
@@ -44,9 +45,6 @@ type (
 	Scenario = queryplan.Scenario
 	// Plan is one physical plan tree (algorithm choices made).
 	Plan = queryplan.Plan
-	// Options parameterize enumeration (fan-outs, plan cap, CPU
-	// constants) for callers using Enumerate directly.
-	Options = queryplan.Options
 	// SearchOptions tune the plan-space search: strategy (DP or
 	// exhaustive), memo top-k, bushy on/off. The zero value is the DP
 	// search with defaults.
@@ -85,65 +83,6 @@ func Names() []string { return queryplan.ScenarioNames() }
 // ByName looks a scenario up in the catalog.
 func ByName(name string) (Scenario, bool) { return queryplan.ScenarioByName(name) }
 
-// Enumerate expands a query into its physical plan trees without
-// costing them — the raw material for custom scoring loops. It always
-// runs the exhaustive left-deep path (no hierarchy to price DP bounds
-// on); use Candidates / PricePlan for the DP search.
-func Enumerate(q Query, opts Options) ([]*Plan, error) { return queryplan.Enumerate(q, opts) }
-
-// Candidates searches, lowers and compiles the physical plans of q
-// for the given hierarchy (whose smallest cache capacity prunes
-// quick-sort recursion) under the default DP search, deduplicating
-// cost-equivalent plans. The result can be re-scored on any number of
-// profiles with costmodel.ScorePlans without re-compiling.
-func Candidates(h *costmodel.Hierarchy, q Query) ([]costmodel.Candidate, error) {
-	return CandidatesSearch(h, q, SearchOptions{})
-}
-
-// CandidatesSearch is Candidates with explicit search options
-// (strategy, memo top-k, bushy on/off).
-func CandidatesSearch(h *costmodel.Hierarchy, q Query, so SearchOptions) ([]costmodel.Candidate, error) {
-	pl, err := costmodel.NewPlanner(h)
-	if err != nil {
-		return nil, err
-	}
-	return pl.QueryCandidatesSearch(q, so)
-}
-
-// PricePlan searches and prices the physical plans of q on the
-// hierarchy under the default DP search, returning the plans sorted
-// cheapest first. Each returned plan's Algorithm field carries the
-// plan signature, e.g.
-//
-//	sort(hashagg((σ(C) hj σ(O)) hj L))
-func PricePlan(h *costmodel.Hierarchy, q Query) ([]costmodel.Plan, error) {
-	return PricePlanSearch(h, q, SearchOptions{})
-}
-
-// PricePlanSearch is PricePlan with explicit search options.
-func PricePlanSearch(h *costmodel.Hierarchy, q Query, so SearchOptions) ([]costmodel.Plan, error) {
-	pl, err := costmodel.NewPlanner(h)
-	if err != nil {
-		return nil, err
-	}
-	return pl.QueryPlansSearch(q, so)
-}
-
-// BestPlan returns the cheapest physical plan of q on the hierarchy
-// under the default DP search.
-func BestPlan(h *costmodel.Hierarchy, q Query) (costmodel.Plan, error) {
-	return BestPlanSearch(h, q, SearchOptions{})
-}
-
-// BestPlanSearch is BestPlan with explicit search options.
-func BestPlanSearch(h *costmodel.Hierarchy, q Query, so SearchOptions) (costmodel.Plan, error) {
-	pl, err := costmodel.NewPlanner(h)
-	if err != nil {
-		return costmodel.Plan{}, err
-	}
-	return pl.BestQueryPlanSearch(q, so)
-}
-
 // FingerprintQuery computes q's canonical fingerprint: a shape key
 // that is stable under relation renaming, relation reordering and edge
 // reordering (isomorphic join graphs collide), with the numeric
@@ -170,40 +109,29 @@ func BindRecipe(r *Recipe, q Query, fp Fingerprint) (*Plan, error) {
 
 // PricedPlan pairs one costed ranking entry with the physical plan
 // tree it was lowered from.
-type PricedPlan struct {
-	Plan costmodel.Plan
-	Tree *Plan
-}
+type PricedPlan = queryplan.PricedPlan
 
-// PricePlanTreesSearch is PricePlanSearch keeping each ranking entry's
+// PricePlanTreesSearch searches and prices the physical plans of q on
+// the hierarchy, sorted cheapest first, keeping each ranking entry's
 // plan tree — the raw material for recipes: search once, extract
 // recipes from the trees, and serve future same-shape queries without
-// re-searching.
+// re-searching. Each entry's Plan.Algorithm carries the plan
+// signature, e.g.
+//
+//	sort(hashagg((σ(C) hj σ(O)) hj L))
+//
+// Cost-equivalent plans (same canonical pattern and CPU estimate)
+// collapse to the first one searched.
 func PricePlanTreesSearch(h *costmodel.Hierarchy, q Query, so SearchOptions) ([]PricedPlan, error) {
-	pl, err := costmodel.NewPlanner(h)
-	if err != nil {
-		return nil, err
-	}
-	costed, err := pl.QueryCostedTreesSearch(q, so)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PricedPlan, len(costed))
-	for i, ct := range costed {
-		out[i] = PricedPlan{Plan: ct.Plan, Tree: ct.Tree}
-	}
-	return out, nil
+	return queryplan.Rank(h, q, so)
 }
 
 // RescorePlans lowers, compiles and costs the given plan trees on the
 // hierarchy, one result per tree in input order — no search, no dedup,
-// no sorting. Each call prices at IR-evaluator speed (microseconds per
-// plan), which is what makes parameter-drift re-validation of cached
-// recipes ~1000x cheaper than a DP re-search.
+// no sorting. Each result is bit-identical to the PricePlanTreesSearch
+// entry for the same tree. Each call prices at IR-evaluator speed
+// (microseconds per plan), which is what makes parameter-drift
+// re-validation of cached recipes ~1000x cheaper than a DP re-search.
 func RescorePlans(h *costmodel.Hierarchy, trees []*Plan) ([]costmodel.Plan, error) {
-	pl, err := costmodel.NewPlanner(h)
-	if err != nil {
-		return nil, err
-	}
-	return pl.ScoreQueryPlans(trees)
+	return queryplan.Rescore(h, trees)
 }

@@ -1,6 +1,7 @@
 package scenario_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/pkg/costmodel"
@@ -37,47 +38,42 @@ func TestBestPlanIsCheapest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := lightQuery()
-	plans, err := scenario.PricePlan(h, q)
+	plans, err := scenario.PricePlanTreesSearch(h, lightQuery(), scenario.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plans) == 0 {
 		t.Fatal("no plans")
 	}
-	best, err := scenario.BestPlan(h, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Algorithm != plans[0].Algorithm {
-		t.Errorf("BestPlan %s != PricePlan[0] %s", best.Algorithm, plans[0].Algorithm)
-	}
 	for i := 1; i < len(plans); i++ {
-		if plans[i].TotalNS() < plans[0].TotalNS() {
-			t.Errorf("plan %s cheaper than the reported best", plans[i].Algorithm)
+		if plans[i].Plan.TotalNS() < plans[0].Plan.TotalNS() {
+			t.Errorf("plan %s cheaper than the reported best", plans[i].Plan.Algorithm)
 		}
 	}
 }
 
+// TestCandidatesRescoreAcrossProfiles: a ranking entry carries its
+// compiled program, so it re-scores on any profile through
+// costmodel.ScorePlans without re-compiling.
 func TestCandidatesRescoreAcrossProfiles(t *testing.T) {
 	h, err := costmodel.Profile("small-test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands, err := scenario.Candidates(h, lightQuery())
+	direct, err := scenario.PricePlanTreesSearch(h, lightQuery(), scenario.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	cands := make([]costmodel.Candidate, len(direct))
+	for i, pp := range direct {
+		cands[i] = pp.Plan.Candidate
 	}
 	ranked := costmodel.ScorePlans(h, cands)
 	if len(ranked) != len(cands) {
 		t.Fatalf("ScorePlans returned %d plans for %d candidates", len(ranked), len(cands))
 	}
-	direct, err := scenario.PricePlan(h, lightQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ranked[0].Algorithm != direct[0].Algorithm {
-		t.Errorf("ScorePlans winner %s != PricePlan winner %s", ranked[0].Algorithm, direct[0].Algorithm)
+	if ranked[0].Algorithm != direct[0].Plan.Algorithm {
+		t.Errorf("ScorePlans winner %s != PricePlanTreesSearch winner %s", ranked[0].Algorithm, direct[0].Plan.Algorithm)
 	}
 
 	// Re-score the same compiled candidates on a different hierarchy.
@@ -91,21 +87,32 @@ func TestCandidatesRescoreAcrossProfiles(t *testing.T) {
 	}
 }
 
-func TestEnumerateExposed(t *testing.T) {
-	plans, err := scenario.Enumerate(lightQuery(), scenario.Options{})
+// TestPlanTreesExposed: every ranking entry carries the plan tree it
+// was lowered from, and the entry's Algorithm is that tree's signature.
+func TestPlanTreesExposed(t *testing.T) {
+	h, err := costmodel.Profile("small-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans, err := scenario.PricePlanTreesSearch(h, lightQuery(), scenario.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plans) == 0 {
-		t.Fatal("no plans enumerated")
+		t.Fatal("no plans")
 	}
-	if plans[0].Signature() == "" {
-		t.Fatal("plan without signature")
+	for _, pp := range plans {
+		if pp.Tree == nil || pp.Tree.Signature() == "" {
+			t.Fatalf("%s: entry without a plan tree", pp.Plan.Algorithm)
+		}
+		if string(pp.Plan.Algorithm) != pp.Tree.Signature() {
+			t.Errorf("entry %s carries tree %s", pp.Plan.Algorithm, pp.Tree.Signature())
+		}
 	}
 }
 
 // TestSearchOptionsSurface drives the facade's explicit-search entry
-// points: the exhaustive oracle and the pruned DP default must agree on
+// point: the exhaustive oracle and the pruned DP default must agree on
 // the winner of a small query, the DP space must be a subset, and an
 // invalid strategy must error.
 func TestSearchOptionsSurface(t *testing.T) {
@@ -114,35 +121,28 @@ func TestSearchOptionsSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := lightQuery()
-	ex, err := scenario.PricePlanSearch(h, q, scenario.SearchOptions{Strategy: scenario.SearchExhaustive})
+	ex, err := scenario.PricePlanTreesSearch(h, q, scenario.SearchOptions{Strategy: scenario.SearchExhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := scenario.PricePlanSearch(h, q, scenario.SearchOptions{})
+	dp, err := scenario.PricePlanTreesSearch(h, q, scenario.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(dp) == 0 || len(dp) > len(ex) {
 		t.Fatalf("DP space %d plans, exhaustive %d — pruned search should be a subset", len(dp), len(ex))
 	}
-	if dp[0].Algorithm != ex[0].Algorithm {
-		t.Errorf("DP winner %s != exhaustive winner %s", dp[0].Algorithm, ex[0].Algorithm)
+	if dp[0].Plan.Algorithm != ex[0].Plan.Algorithm {
+		t.Errorf("DP winner %s != exhaustive winner %s", dp[0].Plan.Algorithm, ex[0].Plan.Algorithm)
 	}
-	best, err := scenario.BestPlanSearch(h, q, scenario.SearchOptions{Strategy: scenario.SearchExhaustive})
+	top1, err := scenario.PricePlanTreesSearch(h, q, scenario.SearchOptions{TopK: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best.Algorithm != ex[0].Algorithm {
-		t.Errorf("BestPlanSearch %s != PricePlanSearch[0] %s", best.Algorithm, ex[0].Algorithm)
+	if len(top1) == 0 || len(top1) > len(dp) {
+		t.Errorf("TopK=1 produced %d plans, default DP %d", len(top1), len(dp))
 	}
-	cands, err := scenario.CandidatesSearch(h, q, scenario.SearchOptions{TopK: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cands) == 0 || len(cands) > len(dp) {
-		t.Errorf("TopK=1 produced %d candidates, default DP %d", len(cands), len(dp))
-	}
-	if _, err := scenario.PricePlanSearch(h, q, scenario.SearchOptions{Strategy: "bogus"}); err == nil {
+	if _, err := scenario.PricePlanTreesSearch(h, q, scenario.SearchOptions{Strategy: "bogus"}); err == nil {
 		t.Error("invalid strategy accepted")
 	}
 }
@@ -162,12 +162,12 @@ func TestDPReachesLargeScenarios(t *testing.T) {
 		if !ok {
 			t.Fatalf("scenario %s missing from the catalog", name)
 		}
-		best, err := scenario.BestPlan(h, sc.Query)
+		plans, err := scenario.PricePlanTreesSearch(h, sc.Query, scenario.SearchOptions{})
 		if err != nil {
-			t.Fatalf("BestPlan(%s): %v", name, err)
+			t.Fatalf("PricePlanTreesSearch(%s): %v", name, err)
 		}
-		if best.Algorithm == "" || best.TotalNS() <= 0 {
-			t.Errorf("BestPlan(%s) = %+v", name, best)
+		if best := plans[0].Plan; best.Algorithm == "" || best.TotalNS() <= 0 {
+			t.Errorf("best plan of %s = %+v", name, best)
 		}
 	}
 }
@@ -177,7 +177,75 @@ func TestPricePlanInvalidQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := scenario.PricePlan(h, scenario.Query{}); err == nil {
+	if _, err := scenario.PricePlanTreesSearch(h, scenario.Query{}, scenario.SearchOptions{}); err == nil {
 		t.Fatal("invalid query accepted")
+	}
+}
+
+// TestRescorePlansReproducesRanking pins the plan cache's revalidation
+// primitive to the search's own pricing: re-scoring the top ranked
+// trees of every catalog scenario reproduces each entry's memory and
+// CPU time bit for bit.
+func TestRescorePlansReproducesRanking(t *testing.T) {
+	h, err := costmodel.Profile("origin2000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range scenario.Catalog() {
+		sc := sc
+		t.Run(sc.Name, func(t *testing.T) {
+			t.Parallel()
+			priced, err := scenario.PricePlanTreesSearch(h, sc.Query, scenario.SearchOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			top := priced[:min(5, len(priced))]
+			trees := make([]*scenario.Plan, len(top))
+			for i, pp := range top {
+				trees[i] = pp.Tree
+			}
+			rescored, err := scenario.RescorePlans(h, trees)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rescored) != len(top) {
+				t.Fatalf("%d results for %d trees", len(rescored), len(top))
+			}
+			for i, p := range rescored {
+				want := top[i].Plan
+				if p.Algorithm != want.Algorithm ||
+					math.Float64bits(p.MemNS) != math.Float64bits(want.MemNS) ||
+					math.Float64bits(p.CPUNS) != math.Float64bits(want.CPUNS) {
+					t.Errorf("entry %d: rescored %s mem %g cpu %g, ranked %s mem %g cpu %g",
+						i, p.Algorithm, p.MemNS, p.CPUNS, want.Algorithm, want.MemNS, want.CPUNS)
+				}
+			}
+		})
+	}
+}
+
+// TestRescoreInvalidHierarchy: both pricing entry points reject a
+// hierarchy that fails validation with an error, never a panic.
+func TestRescoreInvalidHierarchy(t *testing.T) {
+	good, err := costmodel.Profile("small-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	priced, err := scenario.PricePlanTreesSearch(good, lightQuery(), scenario.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroL1 := costmodel.SmallTest()
+	zeroL1.Levels[0].Capacity = 0
+	for name, h := range map[string]*costmodel.Hierarchy{
+		"no levels":   {Name: "empty"},
+		"zero L1 cap": zeroL1,
+	} {
+		if _, err := scenario.PricePlanTreesSearch(h, lightQuery(), scenario.SearchOptions{}); err == nil {
+			t.Errorf("%s: PricePlanTreesSearch accepted an invalid hierarchy", name)
+		}
+		if _, err := scenario.RescorePlans(h, []*scenario.Plan{priced[0].Tree}); err == nil {
+			t.Errorf("%s: RescorePlans accepted an invalid hierarchy", name)
+		}
 	}
 }

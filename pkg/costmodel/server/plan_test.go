@@ -26,7 +26,7 @@ type goldenCorpusFile struct {
 
 // TestPlanMatchesGoldenCorpus prices every catalog scenario through
 // Server.Plan and checks the winning plan against the committed golden
-// corpus — the same corpus TestGolden locks against BestPlan — so the
+// corpus — the same corpus TestGolden locks against queryplan.Rank — so the
 // HTTP surface, the public scenario package and the planner agree on
 // every catalog entry.
 func TestPlanMatchesGoldenCorpus(t *testing.T) {
@@ -54,7 +54,7 @@ func TestPlanMatchesGoldenCorpus(t *testing.T) {
 				t.Fatalf("Plan(%s): %s", sc.Name, res.Error)
 			}
 			if res.Winner.Plan != want.Winner.Plan {
-				t.Errorf("winning plan diverged from BestPlan's golden corpus:\n  corpus: %s\n  server: %s",
+				t.Errorf("winning plan diverged from the golden corpus:\n  corpus: %s\n  server: %s",
 					want.Winner.Plan, res.Winner.Plan)
 			}
 			if res.Plans != want.Plans {
