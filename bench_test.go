@@ -1,7 +1,7 @@
 // Package repro's top-level benchmark harness: one benchmark per table
 // and figure of the paper (regenerating it at reduced scale — run
-// cmd/experiments for full-scale output), plus ablation benchmarks for
-// the design choices called out in DESIGN.md.
+// `costmodel experiments` for full-scale output), plus ablation
+// benchmarks for the design choices called out in DESIGN.md.
 //
 // Accuracy-oriented benchmarks attach prediction-error metrics via
 // b.ReportMetric (relerr = |predicted − measured| / measured), so
@@ -9,7 +9,6 @@
 package repro
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/cachesim"
@@ -23,7 +22,6 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/queryplan"
 	"repro/internal/region"
-	"repro/internal/sweep"
 	"repro/internal/vmem"
 	"repro/internal/workload"
 )
@@ -303,11 +301,8 @@ func BenchmarkEvaluate(b *testing.B) {
 
 // BenchmarkPlanSearch is the plan-space-search headline benchmark, all
 // modes through queryplan.Rank (i.e. including lowering,
-// compilation and the exact phase-2 re-cost). Three modes:
+// compilation and the exact phase-2 re-cost). Two modes:
 //
-//   - exhaustive: the left-deep enumerator on the 4-relation chain, the
-//     largest scenario it handles comfortably — the DP search must beat
-//     it there.
 //   - dpcold: the DP search with the process-global step-cost cache
 //     emptied before every iteration — the first-query-after-boot cost,
 //     dominated by cold IR evaluations of partitioned-hash-join
@@ -316,27 +311,22 @@ func BenchmarkEvaluate(b *testing.B) {
 //     a serving process pays per query, which is what the optimizer
 //     latency bar (docs/optimizer.md) is stated against.
 //
-// The 7..12-relation scenarios are DP-only (the exhaustive path would
-// trip the MaxPlans cap); their cold/warm pairs quantify what geometry
+// Every scenario runs as a cold/warm pair, quantifying what geometry
 // interning buys. CI parses this benchmark into BENCH_plan.json via
 // cmd/benchjson -checkplan.
 func BenchmarkPlanSearch(b *testing.B) {
 	h := hardware.Origin2000()
-	cases := []struct {
-		mode     string
-		scenario string
-		so       queryplan.SearchOptions
-	}{
-		{"exhaustive", "join4-chain", queryplan.SearchOptions{Strategy: queryplan.SearchExhaustive}},
-		{"dp", "join4-chain", queryplan.SearchOptions{}},
-		{"dpcold", "join7-star", queryplan.SearchOptions{}},
-		{"dp", "join7-star", queryplan.SearchOptions{}},
-		{"dpcold", "join8-chain", queryplan.SearchOptions{}},
-		{"dp", "join8-chain", queryplan.SearchOptions{}},
-		{"dpcold", "join10-star", queryplan.SearchOptions{}},
-		{"dp", "join10-star", queryplan.SearchOptions{}},
-		{"dpcold", "join12-chain", queryplan.SearchOptions{}},
-		{"dp", "join12-chain", queryplan.SearchOptions{}},
+	cases := []struct{ mode, scenario string }{
+		{"dpcold", "join4-chain"},
+		{"dp", "join4-chain"},
+		{"dpcold", "join7-star"},
+		{"dp", "join7-star"},
+		{"dpcold", "join8-chain"},
+		{"dp", "join8-chain"},
+		{"dpcold", "join10-star"},
+		{"dp", "join10-star"},
+		{"dpcold", "join12-chain"},
+		{"dp", "join12-chain"},
 	}
 	for _, tc := range cases {
 		sc, ok := queryplan.ScenarioByName(tc.scenario)
@@ -344,7 +334,7 @@ func BenchmarkPlanSearch(b *testing.B) {
 			b.Fatalf("unknown scenario %s", tc.scenario)
 		}
 		search := func(b *testing.B) {
-			plans, err := queryplan.Rank(h, sc.Query, tc.so)
+			plans, err := queryplan.Rank(h, sc.Query, queryplan.SearchOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -368,79 +358,6 @@ func BenchmarkPlanSearch(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkSweepGrid is the grid-sweep headline benchmark: the full
-// 8-operator × 3-size analytical validation grid on Origin2000, single
-// worker so the comparison isolates the sweep machinery from
-// parallelism. Three modes:
-//
-//   - loop: the original point-at-a-time pipeline (re-validate,
-//     re-compile, re-analyze every cell) via ValidationConfig.PointLoop.
-//   - sweep: the production sweep path end to end, including grid
-//     preparation — what one `costmodel validate` run pays.
-//   - sweepwarm: repeated Runs on one prepared grid — the steady state
-//     a serving process or calibration search pays per grid, which must
-//     allocate nothing (0 allocs/op).
-//
-// CI parses this benchmark into BENCH_eval.json via cmd/benchjson
-// -checksweep; the acceptance bar is sweepwarm ≥5x over loop with 0
-// allocs/op (one prepared grid amortizes across the runs that reuse
-// it, so the steady state carries the committed contract; the cold
-// sweep is recorded alongside for the one-shot CLI cost).
-func BenchmarkSweepGrid(b *testing.B) {
-	vcfg := experiments.ValidationConfig{
-		Backend: experiments.BackendAnalytical,
-		Workers: 1,
-	}
-	ctx := context.Background()
-	run := func(b *testing.B, cfg experiments.ValidationConfig) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			v, err := experiments.RunValidation(ctx, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(v.Operators) == 0 {
-				b.Fatal("empty validation")
-			}
-		}
-	}
-	b.Run("loop", func(b *testing.B) {
-		cfg := vcfg
-		cfg.PointLoop = true
-		run(b, cfg)
-	})
-	b.Run("sweep", func(b *testing.B) { run(b, vcfg) })
-	b.Run("sweepwarm", func(b *testing.B) {
-		pts, err := experiments.ValidationSweepPoints(vcfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		grid, err := sweep.Prepare(pts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, err := grid.On(hardware.Origin2000())
-		if err != nil {
-			b.Fatal(err)
-		}
-		opts := sweep.Options{Workers: 1, Predict: true, Price: true}
-		if _, err := s.Run(ctx, opts); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := s.Run(ctx, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(res) != grid.Len() {
-				b.Fatal("short sweep")
-			}
-		}
-	})
 }
 
 // BenchmarkCompile prices the compile step the IR path adds (paid once

@@ -3,7 +3,7 @@
 // one record per benchmark (ns/op, B/op, allocs/op) plus speedup
 // sections — each Evaluate/tree/<pattern> paired with its
 // Evaluate/ir/<pattern> counterpart, and each
-// PlanSearch/exhaustive/<scenario> paired with its
+// PlanSearch/dpcold/<scenario> paired with its
 // PlanSearch/dp/<scenario> counterpart. CI runs it after the bench
 // smoke jobs and uploads the results as artifacts; the first snapshots
 // are committed at the repo root.
@@ -16,9 +16,8 @@
 // the representative compound pattern — must show at least a 5x
 // speedup over the tree walker (the committed snapshot records ~10x,
 // leaving headroom for noisy CI runners). With -checkplan, the plan
-// search's bar is enforced instead: every scenario must carry a
-// speedup — exhaustive-vs-DP on the 4-relation chain, cold-vs-warm on
-// the DP-only scenarios — and every speedup must exceed 1x. With
+// search's bar is enforced instead: every reference scenario must carry
+// a cold-vs-warm DP speedup above 1x. With
 // -snapshot <file>, the warm DP time of the reference scenario
 // (join8-chain) is additionally compared against the committed
 // BENCH_plan.json: past 1.25x the snapshot is a regression. Violations
@@ -54,12 +53,9 @@ const (
 	checkMinSpeedup = 5.0
 )
 
-// Acceptance requirements enforced by -checkplan: the scenario where DP
-// must beat the exhaustive enumerator, and the DP-only scenarios that
-// must each carry a cold-vs-warm speedup.
-const checkPlanScenario = "join4-chain"
-
-var checkPlanDPOnly = []string{"join7-star", "join8-chain", "join10-star", "join12-chain"}
+// Acceptance requirements enforced by -checkplan: the scenarios that
+// must each carry a cold-vs-warm DP speedup.
+var checkPlanDPOnly = []string{"join4-chain", "join7-star", "join8-chain", "join10-star", "join12-chain"}
 
 // Snapshot regression bounds enforced by -snapshot: the reference
 // scenario's warm DP time may not exceed the committed snapshot's by
@@ -106,18 +102,15 @@ type SweepSpeedup struct {
 	WarmAllocsPerOp float64 `json:"warm_allocs_per_op"`
 }
 
-// PlanSpeedup pairs a baseline with the warm DP search on one
-// scenario: the exhaustive enumerator where it can run (join4-chain),
-// the cold-cache DP search on the DP-only scenarios. Speedup is
-// baseline over warm DP — exhaustive/dp or dpcold/dp respectively —
-// and omitted only if no baseline was measured.
+// PlanSpeedup pairs the cold-cache DP search with the warm one on one
+// scenario. Speedup is dpcold over dp, omitted only if no cold
+// baseline was measured.
 type PlanSpeedup struct {
-	Scenario          string  `json:"scenario"`
-	ExhaustiveNsPerOp float64 `json:"exhaustive_ns_per_op,omitempty"`
-	ColdNsPerOp       float64 `json:"cold_ns_per_op,omitempty"`
-	DPNsPerOp         float64 `json:"dp_ns_per_op"`
-	DPAllocsPerOp     float64 `json:"dp_allocs_per_op,omitempty"`
-	Speedup           float64 `json:"speedup,omitempty"`
+	Scenario      string  `json:"scenario"`
+	ColdNsPerOp   float64 `json:"cold_ns_per_op,omitempty"`
+	DPNsPerOp     float64 `json:"dp_ns_per_op"`
+	DPAllocsPerOp float64 `json:"dp_allocs_per_op,omitempty"`
+	Speedup       float64 `json:"speedup,omitempty"`
 }
 
 // Report is the BENCH_eval.json / BENCH_plan.json schema.
@@ -135,8 +128,7 @@ func main() {
 	check := flag.Bool("check", false,
 		"fail unless every /ir/ benchmark has 0 allocs/op and the "+checkPattern+" speedup is ≥ 5x")
 	checkPlan := flag.Bool("checkplan", false,
-		"fail unless every plan-search scenario reports a >1x speedup over its baseline "+
-			"(exhaustive on "+checkPlanScenario+", cold cache on the DP-only scenarios)")
+		"fail unless every reference plan-search scenario reports a >1x warm-over-cold DP speedup")
 	snapshot := flag.String("snapshot", "",
 		"committed BENCH_plan.json to compare against; fail if the warm DP time of "+
 			snapshotScenario+" regresses past "+fmt.Sprintf("%.2f", snapshotTolerance)+"x")
@@ -212,30 +204,21 @@ func (rep *Report) checkAcceptance() error {
 	return fmt.Errorf("no %s tree/ir pair in the benchmark output", checkPattern)
 }
 
-// checkPlanAcceptance enforces the plan-search acceptance bar: DP
-// strictly faster than exhaustive on the reference chain, and every
-// DP-only scenario measured with a >1x cold-vs-warm speedup (a warm
+// checkPlanAcceptance enforces the plan-search acceptance bar: every
+// reference scenario measured with a >1x cold-vs-warm speedup (a warm
 // search no faster than a cold one means geometry interning broke).
 func (rep *Report) checkPlanAcceptance() error {
 	byScenario := map[string]PlanSpeedup{}
 	for _, s := range rep.PlanSearch {
 		byScenario[s.Scenario] = s
 	}
-	ref, ok := byScenario[checkPlanScenario]
-	if !ok || ref.ExhaustiveNsPerOp <= 0 {
-		return fmt.Errorf("no exhaustive/dp pair for %s in the benchmark output", checkPlanScenario)
-	}
-	if ref.Speedup <= 1 {
-		return fmt.Errorf("DP search is not faster than the exhaustive enumerator on %s (%.2fx)",
-			checkPlanScenario, ref.Speedup)
-	}
 	for _, name := range checkPlanDPOnly {
 		s, ok := byScenario[name]
 		if !ok || s.DPNsPerOp <= 0 {
-			return fmt.Errorf("DP-only scenario %s missing from the benchmark output", name)
+			return fmt.Errorf("plan-search scenario %s missing from the benchmark output", name)
 		}
 		if s.ColdNsPerOp <= 0 {
-			return fmt.Errorf("DP-only scenario %s has no cold-cache baseline (dpcold benchmark missing)", name)
+			return fmt.Errorf("plan-search scenario %s has no cold-cache baseline (dpcold benchmark missing)", name)
 		}
 		if s.Speedup <= 1 {
 			return fmt.Errorf("warm DP search is not faster than a cold one on %s (%.2fx): geometry interning is not paying off", name, s.Speedup)
@@ -485,11 +468,9 @@ func speedups(benches []Benchmark) []Speedup {
 	return out
 }
 
-// planSpeedups pairs <prefix>/dp/<scenario> with its baseline:
-// <prefix>/exhaustive/<scenario> where present, else
+// planSpeedups pairs <prefix>/dp/<scenario> with its baseline
 // <prefix>/dpcold/<scenario>.
 func planSpeedups(benches []Benchmark) []PlanSpeedup {
-	exhaustive := map[string]Benchmark{}
 	cold := map[string]Benchmark{}
 	dp := map[string]Benchmark{}
 	var order []string
@@ -501,9 +482,6 @@ func planSpeedups(benches []Benchmark) []PlanSpeedup {
 		return name[i+len(sep):], true
 	}
 	for _, b := range benches {
-		if key, ok := suffix(b.Name, "/exhaustive/"); ok {
-			exhaustive[key] = b
-		}
 		if key, ok := suffix(b.Name, "/dpcold/"); ok {
 			cold[key] = b
 		}
@@ -519,10 +497,7 @@ func planSpeedups(benches []Benchmark) []PlanSpeedup {
 			continue
 		}
 		s := PlanSpeedup{Scenario: key, DPNsPerOp: db.NsPerOp, DPAllocsPerOp: db.AllocsPerOp}
-		if eb, ok := exhaustive[key]; ok && eb.NsPerOp > 0 {
-			s.ExhaustiveNsPerOp = eb.NsPerOp
-			s.Speedup = eb.NsPerOp / db.NsPerOp
-		} else if cb, ok := cold[key]; ok && cb.NsPerOp > 0 {
+		if cb, ok := cold[key]; ok && cb.NsPerOp > 0 {
 			s.ColdNsPerOp = cb.NsPerOp
 			s.Speedup = cb.NsPerOp / db.NsPerOp
 		}

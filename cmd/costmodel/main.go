@@ -1,7 +1,7 @@
 // Command costmodel evaluates data access patterns on hardware
 // profiles using the paper's generic cost model.
 //
-// It has six subcommands:
+// It has seven subcommands:
 //
 //	costmodel eval       evaluate one pattern and print per-level misses
 //	                     and the memory access time (Eq. 3.1); the
@@ -22,6 +22,8 @@
 //	                     plan-request workload and report serving
 //	                     latencies, plan-cache hit rates and the
 //	                     committed serving SLOs (BENCH_serve.json)
+//	costmodel experiments
+//	                     regenerate the paper's tables and figures
 //
 // Regions are declared as name:items:width triples; the pattern uses
 // the paper's Table 2 language with (+) for ⊕ and (.) for ⊙:
@@ -37,6 +39,7 @@
 //	costmodel calibrate -name this-box
 //	costmodel validate -quick -json
 //	costmodel serve -addr :8080
+//	costmodel experiments -exp table3 -quick
 package main
 
 import (
@@ -67,6 +70,9 @@ func main() {
 			return
 		case "loadgen":
 			runLoadgen(args[1:])
+			return
+		case "experiments":
+			runExperiments(args[1:])
 			return
 		case "eval":
 			args = args[1:]

@@ -17,8 +17,7 @@ import (
 //	costmodel scenarios                                   # list the catalog
 //	costmodel scenarios -scenario join3-chain-q3          # rank plans on origin2000
 //	costmodel scenarios -scenario join2-large -profile modern-x86 -top 10 -json
-//	costmodel scenarios -scenario join8-chain -search dp -topk 5
-//	costmodel scenarios -scenario join4-chain -search exhaustive  # the small-query oracle
+//	costmodel scenarios -scenario join8-chain -topk 5
 func runScenarios(args []string) {
 	fs := flag.NewFlagSet("scenarios", flag.ExitOnError)
 	var (
@@ -26,7 +25,6 @@ func runScenarios(args []string) {
 		profile = fs.String("profile", "origin2000", "hardware profile: "+profileNames())
 		top     = fs.Int("top", 5, "ranked plans to print (negative: all)")
 		asJSON  = fs.Bool("json", false, "emit the ranking as JSON")
-		search  = fs.String("search", "dp", "plan-space search: dp (memoized DP over connected subgraphs, bushy trees) or exhaustive (left-deep small-query oracle)")
 		topk    = fs.Int("topk", 0, "subplans the DP search keeps per memo bucket (0: engine default, negative: no pruning)")
 		ldeep   = fs.Bool("leftdeep", false, "restrict the DP search to left-deep join trees (bushy off)")
 		par     = fs.Int("parallelism", 0, "DP memo workers per subset-size stratum (0: one per CPU, 1: single-threaded; the ranking is identical at every setting)")
@@ -52,7 +50,6 @@ func runScenarios(args []string) {
 		os.Exit(2)
 	}
 	so := scenario.SearchOptions{
-		Strategy:     scenario.SearchStrategy(*search),
 		TopK:         *topk,
 		LeftDeepOnly: *ldeep,
 		Parallelism:  *par,

@@ -28,7 +28,6 @@ const validateMinSpeedup = 10
 //	costmodel validate -backend analytical  # stack-distance backend, ~100× faster
 //	costmodel validate -crosscheck -check   # both backends, gate on disagreement
 //	costmodel validate -profile modern-x86 -ops scan,hash-join
-//	costmodel validate -pointloop           # per-point baseline (bit-identical)
 //	costmodel validate -cpuprofile v.pprof -memprofile m.pprof
 //
 // The -json trajectory file records per-operator and overall mean
@@ -50,7 +49,6 @@ func runValidate(args []string) {
 		asJS     = fs.Bool("json", false, "also write the JSON trajectory file (-out)")
 		out      = fs.String("out", "BENCH_validate.json", "path of the JSON trajectory file written with -json")
 		snapshot = fs.String("snapshot", "", "committed trajectory file to compare deterministic numbers against (exit non-zero on drift)")
-		ptLoop   = fs.Bool("pointloop", false, "opt out of the batched grid sweep and evaluate point-at-a-time (bit-identical; benchmark baseline)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memProf  = fs.String("memprofile", "", "write a post-sweep heap profile to this file")
 	)
@@ -79,7 +77,6 @@ func runValidate(args []string) {
 		Seed:       *seed,
 		Backend:    validate.Backend(*backend),
 		CrossCheck: *cross,
-		PointLoop:  *ptLoop,
 	}
 	if *ops != "" {
 		opts.Operators = strings.Split(*ops, ",")

@@ -10,8 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cachemodel"
-	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/hardware"
 	"repro/internal/pattern"
@@ -82,12 +80,6 @@ type ValidationConfig struct {
 	Workers int
 	// Backend selects the measurement backend (default BackendTrace).
 	Backend Backend
-	// PointLoop opts out of the grid-sweep fast path and re-runs the
-	// original point-at-a-time pipeline (re-validate, re-compile, and
-	// re-analyze every cell from scratch). Results are bit-identical
-	// either way — pinned by TestValidationSweepMatchesPointLoop — so
-	// this exists for the sweep benchmark's baseline and for debugging.
-	PointLoop bool
 }
 
 // MinValidationSize is the smallest accepted relation size: below this
@@ -473,22 +465,35 @@ func buildValidationPoints(ops []validationOp, cfg Config, sizes []int64) []swee
 	return pts
 }
 
+// resolve fills defaults and rejects caller mistakes (invalid
+// hierarchy, undersized sweep, unknown backend or operator), returning
+// the operators to run.
+func (c ValidationConfig) resolve() (ValidationConfig, []validationOp, error) {
+	c = c.withDefaults()
+	if err := c.Hier.Validate(); err != nil {
+		return c, nil, fmt.Errorf("experiments: %w: invalid hierarchy: %v", ErrInvalidConfig, err)
+	}
+	for _, sz := range c.Sizes {
+		if sz < MinValidationSize {
+			return c, nil, fmt.Errorf("experiments: %w: size %d below minimum %d", ErrInvalidConfig, sz, MinValidationSize)
+		}
+	}
+	switch c.Backend {
+	case BackendTrace, BackendAnalytical:
+	default:
+		return c, nil, fmt.Errorf("experiments: %w: unknown backend %q (have: %v)", ErrInvalidConfig, c.Backend, Backends())
+	}
+	ops, err := resolveValidationOps(c.Operators)
+	return c, ops, err
+}
+
 // ValidationSweepPoints builds the exact operator × size grid
 // RunValidation evaluates, as sweep points ready for sweep.Prepare
 // (keys "operator/bytes"; operators outer, ascending sizes inner). The
 // grid-sweep benchmark and external harnesses share it so their
 // speedup and allocation contracts measure the production grid.
 func ValidationSweepPoints(vcfg ValidationConfig) ([]sweep.Point, error) {
-	vcfg = vcfg.withDefaults()
-	if err := vcfg.Hier.Validate(); err != nil {
-		return nil, fmt.Errorf("experiments: %w: invalid hierarchy: %v", ErrInvalidConfig, err)
-	}
-	for _, sz := range vcfg.Sizes {
-		if sz < MinValidationSize {
-			return nil, fmt.Errorf("experiments: %w: size %d below minimum %d", ErrInvalidConfig, sz, MinValidationSize)
-		}
-	}
-	ops, err := resolveValidationOps(vcfg.Operators)
+	vcfg, ops, err := vcfg.resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -496,164 +501,113 @@ func ValidationSweepPoints(vcfg ValidationConfig) ([]sweep.Point, error) {
 	return buildValidationPoints(ops, cfg, vcfg.Sizes), nil
 }
 
+// validationCell is one grid point's outcome before aggregation.
+type validationCell struct {
+	meas    float64
+	pred    float64
+	pattern string
+}
+
 // RunValidation sweeps the configured operator × size grid, comparing
 // the cost model's T_mem prediction against the selected backend's
 // measurement for the same pattern, and aggregates relative errors per
-// operator (floored points excluded). The grid runs through the
-// internal/sweep fast path unless PointLoop opts out: predictions (and
-// the analytical backend's measurements) come from one prepared grid
-// evaluation; only the trace backend's engine runs still visit a
-// per-point worker pool (each point owns a private simulated machine).
-// The context cancels the sweep between points.
+// operator (floored points excluded). Predictions (and the analytical
+// backend's measurements) come from one internal/sweep grid
+// evaluation; only the trace backend's engine runs visit a per-point
+// worker pool (each point owns a private simulated machine). The
+// context cancels the sweep between points.
 func RunValidation(ctx context.Context, vcfg ValidationConfig) (*Validation, error) {
 	start := time.Now()
-	vcfg = vcfg.withDefaults()
-	if err := vcfg.Hier.Validate(); err != nil {
-		return nil, fmt.Errorf("experiments: %w: invalid hierarchy: %v", ErrInvalidConfig, err)
-	}
-	for _, sz := range vcfg.Sizes {
-		if sz < MinValidationSize {
-			return nil, fmt.Errorf("experiments: %w: size %d below minimum %d", ErrInvalidConfig, sz, MinValidationSize)
-		}
-	}
-	switch vcfg.Backend {
-	case BackendTrace, BackendAnalytical:
-	default:
-		return nil, fmt.Errorf("experiments: %w: unknown backend %q (have: %v)", ErrInvalidConfig, vcfg.Backend, Backends())
-	}
-	ops, err := resolveValidationOps(vcfg.Operators)
+	vcfg, ops, err := vcfg.resolve()
 	if err != nil {
 		return nil, err
-	}
-
-	model, err := cost.New(vcfg.Hier)
-	if err != nil {
-		return nil, err
-	}
-	var ana *cachemodel.Model
-	if vcfg.Backend == BackendAnalytical {
-		if ana, err = cachemodel.New(vcfg.Hier); err != nil {
-			return nil, fmt.Errorf("experiments: %w: %v", ErrInvalidConfig, err)
-		}
 	}
 	// Each grid point gets a private Config (private rig, private RNG
 	// stream) so concurrent points share nothing.
 	cfg := Config{Hier: vcfg.Hier, Seed: vcfg.Seed}.withDefaults()
 
-	type cell struct {
-		meas    float64
-		pred    float64
-		pattern string
-		err     error
+	// Compile and flatten every cell's declared pattern once, then run
+	// the whole grid through internal/sweep — predictions for both
+	// backends, and the measured side too when it is analytical.
+	pts := buildValidationPoints(ops, cfg, vcfg.Sizes)
+	sg, err := sweep.Prepare(pts)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	grid := make([][]cell, len(ops))
-	for i := range grid {
-		grid[i] = make([]cell, len(vcfg.Sizes))
+	sw, err := sg.On(vcfg.Hier)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w: %v", ErrInvalidConfig, err)
 	}
-
-	// Sweep fast path: compile and flatten every cell's declared pattern
-	// once, then run the whole grid through internal/sweep — predictions
-	// for both backends, and the measured side too when it is analytical.
-	// The trace backend's measured side still needs a real engine run per
-	// point, so only its prediction rides the sweep.
-	if !vcfg.PointLoop {
-		pts := buildValidationPoints(ops, cfg, vcfg.Sizes)
-		sg, err := sweep.Prepare(pts)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
-		}
-		sw, err := sg.On(vcfg.Hier)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %w: %v", ErrInvalidConfig, err)
-		}
-		swept, err := sw.Run(ctx, sweep.Options{
-			Workers: vcfg.Workers,
-			Predict: true,
-			Price:   vcfg.Backend == BackendAnalytical,
-		})
-		if err != nil {
-			return nil, err
-		}
-		for i := range ops {
-			for j := range vcfg.Sizes {
-				c := &grid[i][j]
-				idx := i*len(vcfg.Sizes) + j
-				c.pred = swept[idx].PredictedNS
-				if vcfg.Backend == BackendAnalytical {
-					c.meas = swept[idx].MeasuredNS
-					c.pattern = patternLabel(pts[idx].Pattern)
-				}
-			}
+	swept, err := sw.Run(ctx, sweep.Options{
+		Workers: vcfg.Workers,
+		Predict: true,
+		Price:   vcfg.Backend == BackendAnalytical,
+	})
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]validationCell, len(pts))
+	for i, r := range swept {
+		cells[i].pred = r.PredictedNS
+		if vcfg.Backend == BackendAnalytical {
+			cells[i].meas = r.MeasuredNS
+			cells[i].pattern = patternLabel(pts[i].Pattern)
 		}
 	}
 
-	// Per-point worker pool: the trace backend's engine runs (each point
-	// owns a private simulated machine), and the whole grid when the
-	// PointLoop opt-out re-runs the original pipeline.
-	if vcfg.Backend == BackendTrace || vcfg.PointLoop {
-		type job struct{ op, size int }
-		jobs := make(chan job)
+	// The trace backend's measured side needs a real engine run per
+	// point, each in its own simulated machine, on a bounded pool.
+	if vcfg.Backend == BackendTrace {
+		errs := make([]error, len(cells))
+		jobs := make(chan int)
 		var wg sync.WaitGroup
-		workers := vcfg.Workers
-		if total := len(ops) * len(vcfg.Sizes); workers > total {
-			workers = total
-		}
+		workers := min(vcfg.Workers, len(cells))
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for j := range jobs {
+				for idx := range jobs {
 					if ctx.Err() != nil {
 						continue // drain remaining jobs without running them
 					}
-					c := &grid[j.op][j.size]
+					op, sz := ops[idx/len(vcfg.Sizes)], vcfg.Sizes[idx%len(vcfg.Sizes)]
 					func() {
 						defer func() {
 							if r := recover(); r != nil {
-								c.err = fmt.Errorf("experiments: %s at %d bytes: %v",
-									ops[j.op].name, vcfg.Sizes[j.size], r)
+								errs[idx] = fmt.Errorf("experiments: %s at %d bytes: %v", op.name, sz, r)
 							}
 						}()
-						sz := vcfg.Sizes[j.size]
-						var measNS float64
-						var p pattern.Pattern
-						if vcfg.Backend == BackendAnalytical {
-							p = ops[j.op].pat(cfg, sz)
-							priced, err := ana.Price(p)
-							if err != nil {
-								c.err = err
-								return
-							}
-							measNS = priced.MemoryTimeNS()
-						} else {
-							measNS, p = ops[j.op].run(cfg, sz)
-						}
-						c.meas = measNS
-						c.pattern = patternLabel(p)
-						if vcfg.PointLoop {
-							res, err := model.Evaluate(p)
-							if err != nil {
-								c.err = err
-								return
-							}
-							c.pred = res.MemoryTimeNS()
-						}
+						measNS, p := op.run(cfg, sz)
+						cells[idx].meas = measNS
+						cells[idx].pattern = patternLabel(p)
 					}()
 				}
 			}()
 		}
-		for i := range ops {
-			for j := range vcfg.Sizes {
-				jobs <- job{i, j}
-			}
+		for idx := range cells {
+			jobs <- idx
 		}
 		close(jobs)
 		wg.Wait()
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
+		}
 	}
 
+	v := aggregateValidation(vcfg, ops, cells)
+	v.WallNS = time.Since(start).Nanoseconds()
+	return v, nil
+}
+
+// aggregateValidation assembles the report from the grid's cells
+// (operators outer, ascending sizes inner): per-point relative errors,
+// per-operator and overall means with floored points excluded.
+func aggregateValidation(vcfg ValidationConfig, ops []validationOp, cells []validationCell) *Validation {
 	v := &Validation{
 		Profile: vcfg.Hier.Name,
 		Backend: vcfg.Backend,
@@ -667,10 +621,7 @@ func RunValidation(ctx context.Context, vcfg ValidationConfig) (*Validation, err
 		var opSum float64
 		var opCount int
 		for j := range vcfg.Sizes {
-			c := grid[i][j]
-			if c.err != nil {
-				return nil, c.err
-			}
+			c := cells[i*len(vcfg.Sizes)+j]
 			rel, floored := relError(c.meas, c.pred)
 			pt := ValidationPoint{
 				Bytes:       vcfg.Sizes[j],
@@ -702,8 +653,7 @@ func RunValidation(ctx context.Context, vcfg ValidationConfig) (*Validation, err
 	if counted > 0 {
 		v.MeanRelError = sum / float64(counted)
 	}
-	v.WallNS = time.Since(start).Nanoseconds()
-	return v, nil
+	return v
 }
 
 // OperatorCrossCheck bounds one operator's trace-vs-analytical

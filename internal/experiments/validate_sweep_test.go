@@ -5,7 +5,61 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"repro/internal/cachemodel"
+	"repro/internal/cost"
+	"repro/internal/hardware"
+	"repro/internal/pattern"
+	"repro/internal/sweep"
 )
+
+// runPointLoop is the original point-at-a-time validation pipeline, the
+// oracle RunValidation's grid sweep is pinned against and the sweep
+// benchmark's loop baseline. For every cell it builds the operator's
+// declared pattern (analytical backend) or runs the engine (trace
+// backend), predicts T_mem with the tree-walking cost model, and prices
+// the analytical measurement with cachemodel — re-validating,
+// re-compiling and re-analyzing each cell from scratch.
+func runPointLoop(vcfg ValidationConfig) (*Validation, error) {
+	vcfg, ops, err := vcfg.resolve()
+	if err != nil {
+		return nil, err
+	}
+	model, err := cost.New(vcfg.Hier)
+	if err != nil {
+		return nil, err
+	}
+	ana, err := cachemodel.New(vcfg.Hier)
+	if err != nil {
+		return nil, err
+	}
+	cfg := Config{Hier: vcfg.Hier, Seed: vcfg.Seed}.withDefaults()
+	cells := make([]validationCell, 0, len(ops)*len(vcfg.Sizes))
+	for _, op := range ops {
+		for _, sz := range vcfg.Sizes {
+			var c validationCell
+			var p pattern.Pattern
+			if vcfg.Backend == BackendAnalytical {
+				p = op.pat(cfg, sz)
+				priced, err := ana.Price(p)
+				if err != nil {
+					return nil, err
+				}
+				c.meas = priced.MemoryTimeNS()
+			} else {
+				c.meas, p = op.run(cfg, sz)
+			}
+			c.pattern = patternLabel(p)
+			res, err := model.Evaluate(p)
+			if err != nil {
+				return nil, err
+			}
+			c.pred = res.MemoryTimeNS()
+			cells = append(cells, c)
+		}
+	}
+	return aggregateValidation(vcfg, ops, cells), nil
+}
 
 // TestValidationSweepMatchesPointLoop pins the grid-sweep fast path to
 // the original point-at-a-time pipeline, bit for bit, on both
@@ -20,8 +74,7 @@ func TestValidationSweepMatchesPointLoop(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sweep path: %v", err)
 			}
-			cfg.PointLoop = true
-			looped, err := RunValidation(context.Background(), cfg)
+			looped, err := runPointLoop(cfg)
 			if err != nil {
 				t.Fatalf("point loop: %v", err)
 			}
@@ -111,4 +164,77 @@ func TestValidationSweepPoints(t *testing.T) {
 	if _, err := ValidationSweepPoints(ValidationConfig{Operators: []string{"nope"}}); err == nil {
 		t.Error("unknown operator accepted")
 	}
+}
+
+// BenchmarkSweepGrid is the grid-sweep headline benchmark: the full
+// 8-operator × 3-size analytical validation grid on Origin2000, single
+// worker so the comparison isolates the sweep machinery from
+// parallelism. Three modes:
+//
+//   - loop: the original point-at-a-time pipeline (re-validate,
+//     re-compile, re-analyze every cell) via the runPointLoop oracle.
+//   - sweep: the production sweep path end to end, including grid
+//     preparation — what one `costmodel validate` run pays.
+//   - sweepwarm: repeated Runs on one prepared grid — the steady state
+//     a serving process or calibration search pays per grid, which must
+//     allocate nothing (0 allocs/op).
+//
+// CI parses this benchmark into BENCH_eval.json via cmd/benchjson
+// -checksweep; the acceptance bar is sweepwarm ≥5x over loop with 0
+// allocs/op (one prepared grid amortizes across the runs that reuse
+// it, so the steady state carries the committed contract; the cold
+// sweep is recorded alongside for the one-shot CLI cost).
+func BenchmarkSweepGrid(b *testing.B) {
+	vcfg := ValidationConfig{
+		Backend: BackendAnalytical,
+		Workers: 1,
+	}
+	ctx := context.Background()
+	run := func(b *testing.B, validate func() (*Validation, error)) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			v, err := validate()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(v.Operators) == 0 {
+				b.Fatal("empty validation")
+			}
+		}
+	}
+	b.Run("loop", func(b *testing.B) {
+		run(b, func() (*Validation, error) { return runPointLoop(vcfg) })
+	})
+	b.Run("sweep", func(b *testing.B) {
+		run(b, func() (*Validation, error) { return RunValidation(ctx, vcfg) })
+	})
+	b.Run("sweepwarm", func(b *testing.B) {
+		pts, err := ValidationSweepPoints(vcfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		grid, err := sweep.Prepare(pts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := grid.On(hardware.Origin2000())
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts := sweep.Options{Workers: 1, Predict: true, Price: true}
+		if _, err := s.Run(ctx, opts); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := s.Run(ctx, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res) != grid.Len() {
+				b.Fatal("short sweep")
+			}
+		}
+	})
 }

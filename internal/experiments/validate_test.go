@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -129,6 +130,14 @@ func TestRunValidationRejectsBadInput(t *testing.T) {
 	cfg.Sizes = []int64{128}
 	if _, err := RunValidation(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "below minimum") {
 		t.Errorf("tiny size: err = %v", err)
+	}
+	for _, backend := range Backends() {
+		cfg = smallValidationConfig()
+		cfg.Backend = backend
+		cfg.Hier = &hardware.Hierarchy{Name: "no-levels"}
+		if _, err := RunValidation(context.Background(), cfg); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s backend, invalid hierarchy: err = %v, want ErrInvalidConfig", backend, err)
+		}
 	}
 }
 

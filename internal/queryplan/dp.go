@@ -26,8 +26,8 @@ import (
 // the ⊕ sequence, which makes a subplan's exact cost depend on
 // everything that ran before it; pricing each operator as if it ran
 // alone is the pruning metric, not the final answer. Phase 2 (Rank,
-// rank.go) re-costs every surviving full plan exactly as the
-// exhaustive path does — one ⊕-sequenced compound pattern,
+// rank.go) re-costs every surviving full plan exactly as it costs the
+// exhaustive test oracle's plans — one ⊕-sequenced compound pattern,
 // paper-faithful IR evaluation — so final rankings remain
 // bit-compatible with the algebra.
 //
@@ -56,23 +56,19 @@ import (
 // docs/optimizer.md discusses why the bound is safe-ish and how the
 // exhaustive oracle test bounds the risk.
 
-// SearchStrategy selects the plan-space search engine.
+// SearchStrategy names the plan-space search engine. SearchDP is the
+// only one; callers may spell it or leave SearchOptions.Strategy empty.
 type SearchStrategy string
 
-const (
-	// SearchDP is the memoized dynamic-programming search over
-	// connected subgraphs (the default; handles up to MaxRelations).
-	SearchDP SearchStrategy = "dp"
-	// SearchExhaustive is the exhaustive left-deep enumerator — the
-	// complete-but-factorial test oracle for small queries.
-	SearchExhaustive SearchStrategy = "exhaustive"
-)
+// SearchDP is the memoized dynamic-programming search over connected
+// subgraphs (handles up to MaxRelations).
+const SearchDP SearchStrategy = "dp"
 
 // SearchOptions tune the plan-space search. The zero value means the
 // DP search with DefaultTopK, bushy trees enabled, and one memo worker
 // per available CPU.
 type SearchOptions struct {
-	// Strategy picks the engine; "" means SearchDP.
+	// Strategy must be "" or SearchDP; anything else is an error.
 	Strategy SearchStrategy
 	// TopK bounds the subplans kept per memo bucket in the DP search
 	// (pruned by the context-free cost bound). 0 means DefaultTopK;
@@ -80,7 +76,7 @@ type SearchOptions struct {
 	// configuration the exhaustive-oracle parity test runs).
 	TopK int
 	// LeftDeepOnly restricts the DP search to left-deep join trees
-	// (bushy off), matching the exhaustive enumerator's plan space.
+	// (bushy off), matching the exhaustive test oracle's plan space.
 	LeftDeepOnly bool
 	// Parallelism bounds the worker pool that builds each subset-size
 	// stratum of the DP memo. 0 means GOMAXPROCS, 1 runs
@@ -93,15 +89,7 @@ type SearchOptions struct {
 // DefaultTopK is the per-bucket memo width used when TopK is 0.
 const DefaultTopK = 3
 
-// normalized resolves defaults; topK and parallelism return the
-// effective knob values.
-func (so SearchOptions) normalized() SearchOptions {
-	if so.Strategy == "" {
-		so.Strategy = SearchDP
-	}
-	return so
-}
-
+// topK and parallelism return the effective knob values.
 func (so SearchOptions) topK() int {
 	switch {
 	case so.TopK == 0:
@@ -120,24 +108,6 @@ func (so SearchOptions) parallelism() int {
 		return 1
 	}
 	return so.Parallelism
-}
-
-// Search expands a query into physical plan trees with the configured
-// strategy (opts.Search). SearchDP prices its pruning bounds on hier,
-// which must be non-nil; SearchExhaustive ignores hier and delegates to
-// Enumerate. Rank scores the result — that exact re-cost is phase 2 of
-// the DP optimizer.
-func Search(q Query, opts Options, hier *hardware.Hierarchy) ([]*Plan, error) {
-	so := opts.Search.normalized()
-	switch so.Strategy {
-	case SearchExhaustive:
-		return Enumerate(q, opts)
-	case SearchDP:
-		return dpSearch(q, opts, so, hier)
-	default:
-		return nil, fmt.Errorf("queryplan: unknown search strategy %q (want %q or %q)",
-			so.Strategy, SearchDP, SearchExhaustive)
-	}
 }
 
 // ---------------------------------------------------------------------
@@ -486,7 +456,8 @@ func (m *memoEntry) at(slot int32) *cand { return &m.buckets[slot&1][slot>>1] }
 
 // dp carries the state of one phase-1 run.
 type dp struct {
-	e    *enumerator
+	q    Query
+	opts Options
 	b    *bounder
 	topK int
 	par  int
@@ -504,24 +475,30 @@ type dp struct {
 	memo []memoEntry
 }
 
-// dpSearch is phase 1: build the memo bottom-up across subset-size
-// strata (in parallel when allowed), then materialize the full set's
-// survivors as *Plan trees and expand them with the aggregate /
-// distinct / order-by variants exactly as the exhaustive enumerator
-// does.
-func dpSearch(q Query, opts Options, so SearchOptions, hier *hardware.Hierarchy) ([]*Plan, error) {
+// Search expands a query into physical plan trees with the DP search —
+// phase 1: build the memo bottom-up across subset-size strata (in
+// parallel when allowed), then materialize the full set's survivors as
+// *Plan trees and expand them with the aggregate / distinct / order-by
+// variants exactly as the exhaustive enumerator does. The pruning
+// bounds are priced on hier, which must be non-nil. Rank scores the
+// result — that exact re-cost is phase 2.
+func Search(q Query, opts Options, hier *hardware.Hierarchy) ([]*Plan, error) {
+	so := opts.Search
+	if so.Strategy != "" && so.Strategy != SearchDP {
+		return nil, fmt.Errorf("queryplan: unknown search strategy %q (want %q)", so.Strategy, SearchDP)
+	}
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	if hier == nil {
-		return nil, fmt.Errorf("queryplan: DP search needs a hardware hierarchy to price its context-free cost bounds (pass one to Search, or use SearchExhaustive)")
+		return nil, fmt.Errorf("queryplan: DP search needs a hardware hierarchy to price its context-free cost bounds (pass one to Search)")
 	}
 	opts = opts.normalized()
-	e := enumerator{q: q, opts: opts}
 	n := len(q.Relations)
 
 	d := &dp{
-		e:        &e,
+		q:        q,
+		opts:     opts,
 		b:        newBounder(hier, opts.PruneBytes, opts.CPU),
 		topK:     so.topK(),
 		par:      so.parallelism(),
@@ -531,7 +508,7 @@ func dpSearch(q Query, opts Options, so SearchOptions, hier *hardware.Hierarchy)
 		memo:     make([]memoEntry, uint32(1)<<n),
 	}
 	for i := 0; i < n; i++ {
-		leaf := e.scanPlan(i)
+		leaf := q.scanPlan(i)
 		bound, err := d.b.leafBound(leaf)
 		if err != nil {
 			return nil, err
@@ -549,13 +526,13 @@ func dpSearch(q Query, opts Options, so SearchOptions, hier *hardware.Hierarchy)
 
 	plans := d.materialize()
 	if q.GroupBy > 0 {
-		plans = e.aggVariants(plans, OpAggregate, q.GroupBy)
+		plans = aggVariants(plans, OpAggregate, q.GroupBy)
 	}
 	if q.Distinct > 0 {
-		plans = e.aggVariants(plans, OpDistinct, q.Distinct)
+		plans = aggVariants(plans, OpDistinct, q.Distinct)
 	}
 	if q.SortBy {
-		plans = e.sortVariants(plans)
+		plans = sortVariants(plans)
 	}
 	// A negative TopK is an explicit "give me everything" oracle run, so
 	// the cap — a guard against unintentionally unbounded plan lists —
@@ -699,7 +676,7 @@ func (d *dp) addJoins(entry *memoEntry, r1 subRef, c1 *cand, r2 subRef, c2 *cand
 	if err := emit(HashJoin, 0, false); err != nil {
 		return err
 	}
-	for _, m := range d.e.opts.Fanouts {
+	for _, m := range d.opts.Fanouts {
 		if m*8 > nl || m*8 > nr {
 			continue // degenerate clusters
 		}
@@ -707,7 +684,7 @@ func (d *dp) addJoins(entry *memoEntry, r1 subRef, c1 *cand, r2 subRef, c2 *cand
 			return err
 		}
 	}
-	if d.e.opts.NLJMaxInner > 0 && (nl <= d.e.opts.NLJMaxInner || nr <= d.e.opts.NLJMaxInner) {
+	if d.opts.NLJMaxInner > 0 && (nl <= d.opts.NLJMaxInner || nr <= d.opts.NLJMaxInner) {
 		// The outer relation's order survives a nested-loop join.
 		if err := emit(NestedLoopJoin, 0, c1.outSorted); err != nil {
 			return err
@@ -724,7 +701,7 @@ func (d *dp) addJoins(entry *memoEntry, r1 subRef, c1 *cand, r2 subRef, c2 *cand
 // left-deep splits.
 func (d *dp) pairGeometry(c1, c2 *cand, s1, s2 uint32) (outN, outW int64) {
 	card := float64(c1.outN) * float64(c2.outN)
-	for _, edge := range d.e.q.Joins {
+	for _, edge := range d.q.Joins {
 		l, r := uint32(1)<<edge.Left, uint32(1)<<edge.Right
 		if (l&s1 != 0 && r&s2 != 0) || (l&s2 != 0 && r&s1 != 0) {
 			card *= edge.Selectivity
@@ -822,7 +799,7 @@ func (d *dp) materializeNode(r subRef, cache map[subRef]*Plan) *Plan {
 	c := d.memo[r.mask].at(r.slot)
 	var p *Plan
 	if c.alg == algLeaf {
-		p = d.e.scanPlan(int(c.rel))
+		p = d.q.scanPlan(int(c.rel))
 	} else {
 		// Every join output is named by its relation subset. A subset
 		// occurs at most once per plan tree, so the name is collision-free

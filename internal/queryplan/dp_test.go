@@ -26,17 +26,14 @@ func TestSearchUnknownStrategy(t *testing.T) {
 	}
 }
 
-func TestSearchExhaustiveIgnoresHierarchy(t *testing.T) {
-	plans, err := Search(chainQuery(3), dpOptions(SearchOptions{Strategy: SearchExhaustive}), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Enumerate(chainQuery(3), dpOptions(SearchOptions{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plans) != len(want) {
-		t.Fatalf("Search(exhaustive) returned %d plans, Enumerate %d", len(plans), len(want))
+// TestSearchRejectsExhaustive: the exhaustive enumerator is a test
+// oracle only, so Search refuses to run it and names the one strategy
+// it has.
+func TestSearchRejectsExhaustive(t *testing.T) {
+	_, err := Search(chainQuery(3), dpOptions(SearchOptions{Strategy: "exhaustive"}), hardware.SmallTest())
+	if err == nil || !strings.Contains(err.Error(), `unknown search strategy "exhaustive"`) ||
+		!strings.Contains(err.Error(), `"dp"`) {
+		t.Fatalf("exhaustive strategy: err = %v", err)
 	}
 }
 
@@ -203,9 +200,15 @@ func TestSearchDPLargeJoinGraphs(t *testing.T) {
 			t.Fatalf("DP on %d-chain: no plans", n)
 		}
 	}
-	if _, err := Search(chain(8), dpOptions(SearchOptions{Strategy: SearchExhaustive}), h); err == nil ||
-		!strings.Contains(err.Error(), "cap") {
-		t.Errorf("exhaustive on the 8-chain should trip the MaxPlans cap, got err = %v", err)
+	join8, ok := ScenarioByName("join8-chain")
+	if !ok {
+		t.Fatal("join8-chain missing from the catalog")
+	}
+	for name, q := range map[string]Query{"the 8-chain": chain(8), "join8-chain": join8.Query} {
+		if _, err := Enumerate(q, dpOptions(SearchOptions{})); err == nil ||
+			!strings.Contains(err.Error(), "cap") {
+			t.Errorf("exhaustive on %s should trip the MaxPlans cap, got err = %v", name, err)
+		}
 	}
 
 	sc, ok := ScenarioByName("join5-cycle")

@@ -90,7 +90,7 @@ func oracleSearch(q Query, opts Options, so SearchOptions, hier *hardware.Hierar
 		memo:     make([]oracleEntry, 1<<n),
 	}
 	for i := 0; i < n; i++ {
-		leaf := e.scanPlan(i)
+		leaf := q.scanPlan(i)
 		b, err := d.b.leafBound(leaf)
 		if err != nil {
 			return nil, err
@@ -113,13 +113,13 @@ func oracleSearch(q Query, opts Options, so SearchOptions, hier *hardware.Hierar
 		plans[i] = r.plan
 	}
 	if q.GroupBy > 0 {
-		plans = e.aggVariants(plans, OpAggregate, q.GroupBy)
+		plans = aggVariants(plans, OpAggregate, q.GroupBy)
 	}
 	if q.Distinct > 0 {
-		plans = e.aggVariants(plans, OpDistinct, q.Distinct)
+		plans = aggVariants(plans, OpDistinct, q.Distinct)
 	}
 	if q.SortBy {
-		plans = e.sortVariants(plans)
+		plans = sortVariants(plans)
 	}
 	if so.TopK >= 0 && len(plans) > opts.MaxPlans {
 		return nil, fmt.Errorf("oracle: %d plans exceed the cap of %d", len(plans), opts.MaxPlans)

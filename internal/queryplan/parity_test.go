@@ -63,7 +63,7 @@ func TestDPMatchesExhaustiveOracle(t *testing.T) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			ex, err := queryplan.Rank(h, sc.Query, queryplan.SearchOptions{Strategy: queryplan.SearchExhaustive})
+			ex, err := queryplan.RankExhaustive(h, sc.Query)
 			if err != nil {
 				t.Fatalf("exhaustive: %v", err)
 			}
@@ -129,7 +129,7 @@ func TestDPBushyNeverWorseThanOracle(t *testing.T) {
 		},
 	}
 	h := hardware.Origin2000()
-	ex, err := queryplan.Rank(h, q, queryplan.SearchOptions{Strategy: queryplan.SearchExhaustive})
+	ex, err := queryplan.RankExhaustive(h, q)
 	if err != nil {
 		t.Fatal(err)
 	}

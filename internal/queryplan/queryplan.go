@@ -6,13 +6,13 @@
 // provides: base relations with cardinalities and widths, a join graph
 // with per-edge selectivities, optional per-relation filters and
 // projections, and an optional aggregate / distinct / order-by on top.
-// Search expands a Query into physical alternatives — by default a
-// dynamic program over the connected subgraphs of the join graph
-// (dp.go: memoized subplans, bushy trees, top-k pruning per subset by a
-// context-free cost bound), or the exhaustive left-deep enumerator
-// (enumerate.go, kept as the small-query test oracle) — choosing an
-// algorithm per join and hash- vs sort-based grouping and duplicate
-// elimination. Each physical Plan lowers to a single compound pattern:
+// Search expands a Query into physical alternatives with a dynamic
+// program over the connected subgraphs of the join graph (dp.go:
+// memoized subplans, bushy trees, top-k pruning per subset by a
+// context-free cost bound), choosing an algorithm per join and hash-
+// vs sort-based grouping and duplicate elimination; the exhaustive
+// left-deep enumerator it is checked against lives in
+// exhaustive_test.go. Each physical Plan lowers to a single compound pattern:
 // operators execute one after another (⊕, MonetDB-style full
 // materialization, which is exactly the execution model the paper's
 // system uses), each operator's own concurrent region traversals
@@ -117,7 +117,7 @@ type JoinEdge struct {
 // Query is a logical query over one to MaxRelations base relations: a
 // join graph plus optional per-relation filters/projections and an
 // optional aggregate, distinct or order-by on top. It carries no
-// physical choices — Enumerate makes those.
+// physical choices — Search makes those.
 type Query struct {
 	Relations []Relation
 	// Joins is the join graph; it must connect all relations (no cross
@@ -144,7 +144,7 @@ type Query struct {
 // memoizes connected subgraphs over dense bitset-indexed strata, so it
 // handles this many relations comfortably (the memo is 2^n entries; at
 // 14 relations that is 16384 slots, and only connected subsets are ever
-// populated); the exhaustive left-deep enumerator (enumerate.go) grows
+// populated); the test-only exhaustive left-deep enumerator grows
 // factorially and hits Options.MaxPlans well before the cap.
 const MaxRelations = 14
 

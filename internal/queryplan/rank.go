@@ -95,20 +95,28 @@ type PricedPlan struct {
 // the plans priced on h, cheapest first (stable, so ties keep search
 // order). Quick-sort patterns are pruned at h's smallest cache
 // capacity, and the DP search prices its pruning bounds on h.
-//
-// Cost-equivalent plans collapse: two plans whose patterns share a
-// canonical form and whose CPU estimates agree — e.g. the two build
-// sides of a symmetric hash join — are priced identically on every
-// hierarchy, so only the first searched one is kept.
+// Cost-equivalent plans collapse onto the first searched one (see
+// rankTrees).
 func Rank(h *hardware.Hierarchy, q Query, so SearchOptions) ([]PricedPlan, error) {
 	if err := h.Validate(); err != nil {
 		return nil, err
 	}
-	prune := h.MinCapacity()
-	trees, err := Search(q, Options{CPU: DefaultCPU(), PruneBytes: prune, Search: so}, h)
+	trees, err := Search(q, Options{CPU: DefaultCPU(), PruneBytes: h.MinCapacity(), Search: so}, h)
 	if err != nil {
 		return nil, err
 	}
+	return rankTrees(h, trees)
+}
+
+// rankTrees lowers, compiles and prices the given plan trees on h
+// (which must validate), cheapest first.
+//
+// Cost-equivalent plans collapse: two plans whose patterns share a
+// canonical form and whose CPU estimates agree — e.g. the two build
+// sides of a symmetric hash join — are priced identically on every
+// hierarchy, so only the first one in tree order is kept.
+func rankTrees(h *hardware.Hierarchy, trees []*Plan) ([]PricedPlan, error) {
+	prune := h.MinCapacity()
 	ranked := make([]PricedPlan, 0, len(trees))
 	seen := make(map[string]bool, len(trees))
 	for _, t := range trees {

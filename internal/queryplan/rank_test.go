@@ -21,7 +21,7 @@ func testQuery() Query {
 func TestQueryCandidatesDedupe(t *testing.T) {
 	// The exhaustive oracle enumerates the complete plan space, so the
 	// expected duplicate pairs are guaranteed to be present.
-	ranked, err := Rank(hardware.SmallTest(), testQuery(), SearchOptions{Strategy: SearchExhaustive})
+	ranked, err := rankExhaustive(hardware.SmallTest(), testQuery())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func (r *Recipe) Bind(q Query, fp Fingerprint) (*Plan, error) {
 	if len(fp.Perm) != len(q.Relations) {
 		return nil, fmt.Errorf("queryplan: fingerprint covers %d relations, query has %d", len(fp.Perm), len(q.Relations))
 	}
-	b := binder{q: q, e: &enumerator{q: q}, perm: fp.Perm}
+	b := binder{q: q, perm: fp.Perm}
 	p, mask, err := b.bind(r)
 	if err != nil {
 		return nil, err
@@ -89,7 +89,6 @@ func (r *Recipe) Bind(q Query, fp Fingerprint) (*Plan, error) {
 
 type binder struct {
 	q    Query
-	e    *enumerator
 	perm []int
 }
 
@@ -102,7 +101,7 @@ func (b *binder) bind(r *Recipe) (*Plan, uint32, error) {
 			return nil, 0, fmt.Errorf("queryplan: recipe scan position %d outside %d relations", r.Pos, len(b.perm))
 		}
 		i := b.perm[r.Pos]
-		return b.e.scanPlan(i), uint32(1) << i, nil
+		return b.q.scanPlan(i), uint32(1) << i, nil
 
 	case OpJoin:
 		if len(r.Children) != 2 {

@@ -5,15 +5,14 @@
 // A Query describes the logical shape — relations, a join graph with
 // selectivities, optional filters/projections and an aggregate,
 // distinct or order-by on top. PricePlanTreesSearch searches its
-// physical alternatives — by default a dynamic program over the
-// connected subgraphs of the join graph (memoized subplans, bushy
-// trees, top-k pruning by a context-free cost bound; see
-// docs/optimizer.md), with the exhaustive left-deep enumerator
-// available via SearchOptions as a small-query oracle — lowers each
-// surviving plan to one compound access pattern (operators sequenced
-// with ⊕ so cache state threads between them, MonetDB-style full
-// materialization), compiles it once into the cost IR, and ranks the
-// plans by predicted total time on a hardware profile, cheapest first.
+// physical alternatives with a dynamic program over the connected
+// subgraphs of the join graph (memoized subplans, bushy trees, top-k
+// pruning by a context-free cost bound; see docs/optimizer.md), lowers
+// each surviving plan to one compound access pattern (operators
+// sequenced with ⊕ so cache state threads between them, MonetDB-style
+// full materialization), compiles it once into the cost IR, and ranks
+// the plans by predicted total time on a hardware profile, cheapest
+// first.
 // RescorePlans re-prices given plan trees without searching.
 //
 // Catalog ships ready-made scenarios — single-operator baselines,
@@ -45,11 +44,12 @@ type (
 	Scenario = queryplan.Scenario
 	// Plan is one physical plan tree (algorithm choices made).
 	Plan = queryplan.Plan
-	// SearchOptions tune the plan-space search: strategy (DP or
-	// exhaustive), memo top-k, bushy on/off. The zero value is the DP
-	// search with defaults.
+	// SearchOptions tune the DP plan-space search: memo top-k, bushy
+	// on/off, memo parallelism. The zero value is the DP search with
+	// defaults.
 	SearchOptions = queryplan.SearchOptions
-	// SearchStrategy selects the plan-space search engine.
+	// SearchStrategy names the plan-space search engine; SearchDP is
+	// the only one.
 	SearchStrategy = queryplan.SearchStrategy
 	// Fingerprint is a query's canonical identity: an
 	// isomorphism-safe shape key plus the parameter vector in
@@ -61,14 +61,11 @@ type (
 	Recipe = queryplan.Recipe
 )
 
-// The search strategies.
+// Search constants.
 const (
 	// SearchDP is the memoized DP search over connected subgraphs
 	// (bushy trees, top-k pruning) — the default.
 	SearchDP = queryplan.SearchDP
-	// SearchExhaustive is the exhaustive left-deep enumerator, the
-	// complete-but-factorial oracle for small queries.
-	SearchExhaustive = queryplan.SearchExhaustive
 	// DefaultTopK is the DP memo width used when SearchOptions.TopK is
 	// zero.
 	DefaultTopK = queryplan.DefaultTopK

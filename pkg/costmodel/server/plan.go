@@ -38,9 +38,9 @@ type PlanRequest struct {
 	// Top bounds the ranked plans echoed back; 0 means DefaultPlanTop,
 	// negative returns every plan.
 	Top int `json:"top,omitempty"`
-	// Search selects the plan-space search strategy: "dp" (the default
-	// — memoized DP over connected subgraphs, bushy trees) or
-	// "exhaustive" (the left-deep small-query oracle).
+	// Search names the plan-space search strategy: empty or "dp" (the
+	// memoized DP over connected subgraphs, bushy trees); any other
+	// value is rejected.
 	Search string `json:"search,omitempty"`
 	// TopK bounds the subplans the DP search keeps per memo bucket; 0
 	// means the engine default. The HTTP surface caps it at MaxPlanTopK
@@ -194,8 +194,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 //
 // Requests are served through the shape-keyed plan cache: the key is
 // (registry version, profile, shape fingerprint, search options) — the
-// search options are part of the key, so a DP answer can never leak
-// into an exhaustive request (or vice versa); the requested top is
+// search options are part of the key, so an answer can never leak
+// across top-k, bushy or parallelism settings; the requested top is
 // sliced per request after the cache. Catalog scenarios and inline
 // queries share the machinery (and, when shapes coincide, the entries):
 // a scenario resolves to its query and fingerprints like any other.
@@ -453,8 +453,8 @@ func rankedPlan(p costmodel.Plan) RankedPlan {
 // search options. Validation runs here — before the cache and the
 // worker pool — so an invalid option is a cheap 400, never a poisoned
 // cache entry; normalization (default strategy and top-k made
-// explicit, DP-only knobs zeroed for the exhaustive oracle) makes
-// semantically identical requests share one cache entry.
+// explicit) makes semantically identical requests share one cache
+// entry.
 func searchFromWire(req PlanRequest) (scenario.SearchOptions, error) {
 	so := scenario.SearchOptions{
 		Strategy:     scenario.SearchStrategy(req.Search),
@@ -465,10 +465,9 @@ func searchFromWire(req PlanRequest) (scenario.SearchOptions, error) {
 	switch so.Strategy {
 	case "":
 		so.Strategy = scenario.SearchDP
-	case scenario.SearchDP, scenario.SearchExhaustive:
+	case scenario.SearchDP:
 	default:
-		return so, fmt.Errorf("unknown search strategy %q (want %q or %q)",
-			req.Search, scenario.SearchDP, scenario.SearchExhaustive)
+		return so, fmt.Errorf("unknown search strategy %q (want %q)", req.Search, scenario.SearchDP)
 	}
 	if so.TopK < 0 || so.TopK > MaxPlanTopK {
 		return so, fmt.Errorf("topk %d outside [0, %d] (pruning cannot be disabled over HTTP)",
@@ -479,11 +478,6 @@ func searchFromWire(req PlanRequest) (scenario.SearchOptions, error) {
 	}
 	if so.Parallelism < 0 || so.Parallelism > MaxPlanParallelism {
 		return so, fmt.Errorf("parallelism %d outside [0, %d]", so.Parallelism, MaxPlanParallelism)
-	}
-	if so.Strategy == scenario.SearchExhaustive {
-		// The exhaustive path ignores the DP knobs; zeroing them keeps
-		// the cache key canonical.
-		so.TopK, so.LeftDeepOnly, so.Parallelism = 0, false, 0
 	}
 	return so, nil
 }

@@ -161,31 +161,17 @@ func TestPlanScenarioMemoized(t *testing.T) {
 
 // TestPlanCacheKeyedOnSearchOptions locks the plan-cache key's search
 // dimensions: the same (profile, scenario) under different search
-// options must be computed separately — a DP ranking leaking into an
-// exhaustive request (or across top-k settings) would silently serve
-// the wrong plan space.
+// options must be computed separately — a ranking leaking across top-k
+// settings would silently serve the wrong plan space.
 func TestPlanCacheKeyedOnSearchOptions(t *testing.T) {
 	s := server.New(server.Config{})
 	dp := s.Plan(server.PlanRequest{Profile: "small-test", Scenario: "join2-fk", Top: -1})
 	if dp.Error != "" {
 		t.Fatal(dp.Error)
 	}
-	missesAfterDP := s.PlanCacheStats().Misses
-
-	ex := s.Plan(server.PlanRequest{Profile: "small-test", Scenario: "join2-fk", Top: -1, Search: "exhaustive"})
-	if ex.Error != "" {
-		t.Fatal(ex.Error)
-	}
 	st := s.PlanCacheStats()
-	if st.Misses != missesAfterDP+1 {
-		t.Errorf("exhaustive request after DP did not miss the cache (misses %d -> %d)", missesAfterDP, st.Misses)
-	}
-	if ex.Plans <= dp.Plans {
-		t.Errorf("exhaustive space (%d plans) not larger than the pruned DP space (%d) — cached answer leaked across strategies?",
-			ex.Plans, dp.Plans)
-	}
 
-	// Different top-k: separate entry too.
+	// Different top-k: separate entry.
 	wide := s.Plan(server.PlanRequest{Profile: "small-test", Scenario: "join2-fk", Top: -1, TopK: server.MaxPlanTopK})
 	if wide.Error != "" {
 		t.Fatal(wide.Error)
@@ -209,12 +195,12 @@ func TestPlanCacheKeyedOnSearchOptions(t *testing.T) {
 
 	// Repeats of each variant hit their own entries.
 	hitsBefore := s.PlanCacheStats().Hits
-	again := s.Plan(server.PlanRequest{Profile: "small-test", Scenario: "join2-fk", Top: -1, Search: "exhaustive"})
-	if again.Error != "" || again.Plans != ex.Plans || again.Winner != ex.Winner {
-		t.Errorf("cached exhaustive response diverged: %+v vs %+v", again.Winner, ex.Winner)
+	again := s.Plan(server.PlanRequest{Profile: "small-test", Scenario: "join2-fk", Top: -1, TopK: server.MaxPlanTopK})
+	if again.Error != "" || again.Plans != wide.Plans || again.Winner != wide.Winner {
+		t.Errorf("cached wide-topk response diverged: %+v vs %+v", again.Winner, wide.Winner)
 	}
 	if got := s.PlanCacheStats().Hits; got != hitsBefore+1 {
-		t.Errorf("repeated exhaustive request did not hit the cache (hits %d -> %d)", hitsBefore, got)
+		t.Errorf("repeated wide-topk request did not hit the cache (hits %d -> %d)", hitsBefore, got)
 	}
 	// "dp" spelled explicitly shares the default's entry (same
 	// normalized options).
@@ -225,8 +211,8 @@ func TestPlanCacheKeyedOnSearchOptions(t *testing.T) {
 }
 
 // TestPlanDPOnlyScenario prices a scenario only the DP engine can
-// handle end to end over HTTP, and checks the exhaustive oracle fails
-// loudly on it rather than silently truncating.
+// handle end to end over HTTP, and checks that a request for the
+// retired exhaustive search is a 400 naming the one strategy there is.
 func TestPlanDPOnlyScenario(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	// modern-x86: small-test's 1 kB caches would blow up the big
@@ -254,8 +240,8 @@ func TestPlanDPOnlyScenario(t *testing.T) {
 	if err := json.Unmarshal(body, &pr); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(pr.Error, "cap") {
-		t.Errorf("exhaustive error %q does not mention the plan cap", pr.Error)
+	if !strings.Contains(pr.Error, `"exhaustive"`) || !strings.Contains(pr.Error, `"dp"`) {
+		t.Errorf("exhaustive error %q does not name the rejected and the accepted strategy", pr.Error)
 	}
 }
 
@@ -321,9 +307,7 @@ func TestPlanErrors(t *testing.T) {
 // TestPlanParallelismKnob locks the Parallelism knob's wire contract:
 // every accepted setting returns the identical ranking (the DP search
 // is deterministic across parallelism — see the determinism suite),
-// each setting occupies its own plan-cache entry, and the exhaustive
-// strategy normalizes the knob away so spelled-out variants share one
-// entry.
+// and each setting occupies its own plan-cache entry.
 func TestPlanParallelismKnob(t *testing.T) {
 	s := server.New(server.Config{})
 	base := s.Plan(server.PlanRequest{Profile: "small-test", Scenario: "join2-fk", Top: -1})
@@ -350,19 +334,5 @@ func TestPlanParallelismKnob(t *testing.T) {
 			t.Errorf("parallelism %d did not get its own cache entry (misses %d -> %d)",
 				par, missesBefore, got)
 		}
-	}
-
-	// The exhaustive path zeroes the knob: par=4 shares par-unset's entry.
-	first := s.Plan(server.PlanRequest{Profile: "small-test", Scenario: "join2-fk", Top: -1, Search: "exhaustive"})
-	if first.Error != "" {
-		t.Fatal(first.Error)
-	}
-	missesNow := s.PlanCacheStats().Misses
-	second := s.Plan(server.PlanRequest{Profile: "small-test", Scenario: "join2-fk", Top: -1, Search: "exhaustive", Parallelism: 4})
-	if second.Error != "" || second.Plans != first.Plans || second.Winner != first.Winner {
-		t.Errorf("exhaustive with parallelism diverged: %+v vs %+v", second.Winner, first.Winner)
-	}
-	if got := s.PlanCacheStats().Misses; got != missesNow {
-		t.Errorf("exhaustive parallelism variant recounted a miss (%d -> %d)", missesNow, got)
 	}
 }

@@ -78,12 +78,6 @@ type Options struct {
 	// (Report.CrossCheck). The reported points are the analytical
 	// backend's; Backend is ignored.
 	CrossCheck bool
-	// PointLoop opts out of the batched grid-sweep fast path
-	// (package repro/internal/sweep) and evaluates every grid point
-	// through the original point-at-a-time pipeline. The numbers are
-	// bit-identical either way; this exists as the benchmark baseline
-	// and a debugging fallback.
-	PointLoop bool
 }
 
 // Backend selects how the measured side of the sweep is produced.
@@ -143,7 +137,6 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 		Seed:      opts.Seed,
 		Workers:   opts.Workers,
 		Backend:   opts.Backend,
-		PointLoop: opts.PointLoop,
 	}
 	if opts.CrossCheck {
 		return experiments.RunCrossCheck(ctx, vcfg)
