@@ -360,19 +360,72 @@ func BenchmarkPlanSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkCompile prices the compile step the IR path adds (paid once
-// per distinct pattern; the planner and server intern programs).
+// BenchmarkCompile prices the compile step the IR path adds. A
+// process pays it once per distinct compile key, and the key embeds
+// every region's size: the planner and the server's compile cache
+// reuse a program only for an identical pattern, while plan-cache
+// revalidation recompiles every recipe of every drifted request. The
+// quick-sort case is the deepest program the planner routinely builds
+// (⊕ nested 11 deep).
 func BenchmarkCompile(b *testing.B) {
 	n := int64(1 << 20)
 	u := region.New("U", n, 16)
 	v := region.New("V", n, 16)
 	w := region.New("W", n, 16)
 	hr := engine.HashRegionFor("H", n)
-	p := engine.HashJoinPattern(u, v, hr, w)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := costir.Compile(p); err != nil {
-			b.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		p    pattern.Pattern
+	}{
+		{"hashjoin", engine.HashJoinPattern(u, v, hr, w)},
+		{"quicksort-64MB", engine.QuickSortPattern(region.New("S", 1<<22, 16), 32<<10)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := costir.Compile(tc.p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// rescoreShapes are the large-relation catalog shapes whose drifted
+// requests the server answers by re-scoring cached recipes (the
+// perfbench plan-reprice workload's owner shapes).
+var rescoreShapes = []string{
+	"join2-fk", "join3-star", "join3-chain-q3", "join6-islands", "join7-star",
+	"join10-star", "groupby-many", "sort-unsorted", "distinct-dense",
+}
+
+// BenchmarkRescore is the serving revalidation path without HTTP: each
+// iteration re-scores a shape's five cheapest plan trees on modern-x86
+// with queryplan.Rescore, which lowers and compiles every tree afresh
+// before evaluating it — what a plan-cache hit on a drifted query pays.
+func BenchmarkRescore(b *testing.B) {
+	h := hardware.ModernX86()
+	for _, name := range rescoreShapes {
+		sc, ok := queryplan.ScenarioByName(name)
+		if !ok {
+			b.Fatalf("unknown scenario %s", name)
 		}
+		b.Run(name, func(b *testing.B) {
+			ranked, err := queryplan.Rank(h, sc.Query, queryplan.SearchOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var trees []*queryplan.Plan
+			for i := 0; i < len(ranked) && i < 5; i++ {
+				trees = append(trees, ranked[i].Tree)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := queryplan.Rescore(h, trees); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

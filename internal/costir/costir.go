@@ -41,7 +41,7 @@ package costir
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -125,6 +125,9 @@ func (ri RegionInfo) Size() int64 { return ri.N * ri.W }
 type Program struct {
 	canonical string
 	regions   []RegionInfo
+	// pre/end number the region forest in preorder: region i's subtree
+	// is the interval [pre[i], end[i]) (see numberForest).
+	pre, end  []int32
 	instrs    []instr
 	foot      []footInstr
 	nSlots    int // total ⊙ children (footprint slots)
@@ -159,38 +162,106 @@ func (p *Program) Regions() []RegionInfo {
 // Compile canonicalizes and compiles a pattern. The pattern must
 // validate (pattern.Validate); the returned program is immutable.
 func Compile(p pattern.Pattern) (*Program, error) {
-	root, err := canonicalTree(p)
+	cz, err := canonicalize(p)
 	if err != nil {
 		return nil, err
 	}
-	c := compiler{regIdx: map[string]int32{}}
-	c.emit(root)
-	return &Program{
-		canonical: root.key,
-		regions:   c.regions,
-		instrs:    c.instrs,
-		foot:      c.foot,
-		nSlots:    int(c.nSlots),
-		maxDepth:  c.maxDepth,
-		footDepth: c.footMax,
-		numBasics: c.numBasics,
-	}, nil
+	return cz.compile(), nil
 }
 
 // CanonicalKey returns the canonical form of p without building the
 // instruction program — the cheap first phase of Compile, for callers
 // that only need a cache key to look up an already-compiled program.
 func CanonicalKey(p pattern.Pattern) (string, error) {
-	root, err := canonicalTree(p)
+	cz, err := canonicalize(p)
 	if err != nil {
 		return "", err
 	}
-	return root.key, nil
+	return cz.root.render(), nil
+}
+
+// CompileIf canonicalizes p once and compiles it only if keep accepts
+// its canonical key, returning a nil program otherwise — for callers
+// that deduplicate by canonical form before paying for the instruction
+// program, without canonicalizing twice.
+func CompileIf(p pattern.Pattern, keep func(key string) bool) (*Program, error) {
+	cz, err := canonicalize(p)
+	if err != nil {
+		return nil, err
+	}
+	if !keep(cz.root.render()) {
+		return nil, nil
+	}
+	return cz.compile(), nil
+}
+
+// compile lowers the canonical tree into a program. The instruction
+// streams are sized exactly up front, and the region tables for every
+// distinct region pointer (an upper bound on distinct identities).
+func (cz *canonicalizer) compile() *Program {
+	nPtr := len(cz.memo)
+	c := compiler{
+		regions: make([]RegionInfo, 0, nPtr),
+		regPtr:  make(map[*region.Region]int32, nPtr),
+		regIdx:  make(map[regID]int32, nPtr),
+		instrs:  make([]instr, 0, cz.nInstrs),
+		foot:    make([]footInstr, 0, cz.nFoot),
+	}
+	c.emit(cz.root)
+	pre, end := numberForest(c.regions)
+	return &Program{
+		canonical: cz.root.render(),
+		regions:   c.regions,
+		pre:       pre,
+		end:       end,
+		instrs:    c.instrs,
+		foot:      c.foot,
+		nSlots:    int(c.nSlots),
+		maxDepth:  c.maxDepth,
+		footDepth: c.footMax,
+		numBasics: c.numBasics,
+	}
+}
+
+// numberForest numbers the region forest in preorder. Region i's
+// subtree occupies the preorder interval [pre[i], end[i]), so x is an
+// ancestor-or-self of y exactly when pre[x] <= pre[y] < end[x]. The
+// table lists every parent before its children (regIndex interns the
+// chain root-first), which lets both passes run without recursion:
+// subtree sizes accumulate bottom-up in reverse index order, then each
+// region takes the next free position inside its parent's interval.
+func numberForest(regs []RegionInfo) (pre, end []int32) {
+	pre = make([]int32, len(regs))
+	end = make([]int32, len(regs))
+	size := make([]int32, len(regs))
+	for i := len(regs) - 1; i >= 0; i-- {
+		size[i]++
+		if par := regs[i].Parent; par >= 0 {
+			size[par] += size[i]
+		}
+	}
+	// end[x] serves as x's cursor — the first unassigned position
+	// inside its interval — until every child of x is numbered, after
+	// which it has advanced to pre[x] + size[x], x's true end.
+	var roots int32
+	for i := range regs {
+		at := &roots
+		if par := regs[i].Parent; par >= 0 {
+			at = &end[par]
+		}
+		pre[i] = *at
+		*at += size[i]
+		end[i] = pre[i] + 1
+	}
+	return pre, end
 }
 
 // cnode is one node of the canonicalized pattern tree: basic patterns
 // with resolved parameters, or ⊕/⊙ nodes with flattened/sorted
-// children. key is the node's canonical rendering.
+// children. A basic node's key is its canonical rendering. A compound
+// node's key stays empty until something must compare or return it
+// (a ⊙ parent sorting its operands, or the root); size is the length
+// of the rendering either way, so it can be written in one pass.
 type cnode struct {
 	op    op
 	reg   *region.Region
@@ -203,28 +274,67 @@ type cnode struct {
 	noSeq bool
 	kids  []*cnode
 	key   string
+	size  int
 }
 
-func canonicalTree(p pattern.Pattern) (*cnode, error) {
+// canonicalize validates p and builds its canonical tree.
+func canonicalize(p pattern.Pattern) (*canonicalizer, error) {
 	if err := pattern.Validate(p); err != nil {
 		return nil, err
 	}
-	memo := map[*region.Region]string{}
-	return canon(p, memo), nil
+	cz := &canonicalizer{memo: map[*region.Region]string{}}
+	cz.root = cz.canon(p)
+	return cz, nil
+}
+
+// canonicalizer builds one canonical tree. Beside the root it holds
+// what the nodes share — rendered region identities per pointer, a
+// scratch buffer for rendering keys, a slab the nodes are carved from —
+// and the lengths of the two instruction streams compile will emit.
+type canonicalizer struct {
+	root           *cnode
+	memo           map[*region.Region]string
+	buf            []byte
+	slab           []cnode
+	slabSize       int
+	nInstrs, nFoot int
+}
+
+// node carves a node from the slab. Slabs double from 4 up to 256
+// nodes, so small patterns do not pay for a large one.
+func (cz *canonicalizer) node() *cnode {
+	if len(cz.slab) == 0 {
+		cz.slabSize = min(max(2*cz.slabSize, 4), 256)
+		cz.slab = make([]cnode, cz.slabSize)
+	}
+	n := &cz.slab[0]
+	cz.slab = cz.slab[1:]
+	return n
 }
 
 // regKey renders a region's canonical identity: quoted name, item
 // count, width, and (recursively) the parent chain. Two regions with
 // equal keys are indistinguishable to the cost model.
-func regKey(r *region.Region, memo map[*region.Region]string) string {
-	if k, ok := memo[r]; ok {
+func (cz *canonicalizer) regKey(r *region.Region) string {
+	if k, ok := cz.memo[r]; ok {
 		return k
 	}
-	k := strconv.Quote(r.Name) + "!" + strconv.FormatInt(r.N, 10) + "!" + strconv.FormatInt(r.W, 10)
+	var parent string
 	if r.Parent != nil {
-		k += "<" + regKey(r.Parent, memo)
+		parent = cz.regKey(r.Parent)
 	}
-	memo[r] = k
+	b := strconv.AppendQuote(cz.buf[:0], r.Name)
+	b = append(b, '!')
+	b = strconv.AppendInt(b, r.N, 10)
+	b = append(b, '!')
+	b = strconv.AppendInt(b, r.W, 10)
+	if r.Parent != nil {
+		b = append(b, '<')
+		b = append(b, parent...)
+	}
+	cz.buf = b
+	k := string(b)
+	cz.memo[r] = k
 	return k
 }
 
@@ -236,30 +346,31 @@ func boolKey(b bool) string {
 }
 
 // canon canonicalizes one subtree. It assumes the pattern validated.
-func canon(p pattern.Pattern, memo map[*region.Region]string) *cnode {
+func (cz *canonicalizer) canon(p pattern.Pattern) *cnode {
+	n := cz.node()
 	switch q := p.(type) {
 	case pattern.STrav:
 		u := pattern.Used(q.U, q.R)
-		return &cnode{op: opSTrav, reg: q.R, u: u, noSeq: q.NoSeq,
-			key: "st(" + regKey(q.R, memo) + ";" + strconv.FormatInt(u, 10) + ";" + boolKey(q.NoSeq) + ")"}
+		*n = cnode{op: opSTrav, reg: q.R, u: u, noSeq: q.NoSeq,
+			key: "st(" + cz.regKey(q.R) + ";" + strconv.FormatInt(u, 10) + ";" + boolKey(q.NoSeq) + ")"}
 	case pattern.RSTrav:
 		u := pattern.Used(q.U, q.R)
-		return &cnode{op: opRSTrav, reg: q.R, u: u, a: q.Repeats, dir: q.Dir, noSeq: q.NoSeq,
-			key: "rst(" + regKey(q.R, memo) + ";" + strconv.FormatInt(u, 10) + ";" +
+		*n = cnode{op: opRSTrav, reg: q.R, u: u, a: q.Repeats, dir: q.Dir, noSeq: q.NoSeq,
+			key: "rst(" + cz.regKey(q.R) + ";" + strconv.FormatInt(u, 10) + ";" +
 				strconv.FormatInt(q.Repeats, 10) + ";" + q.Dir.String() + ";" + boolKey(q.NoSeq) + ")"}
 	case pattern.RTrav:
 		u := pattern.Used(q.U, q.R)
-		return &cnode{op: opRTrav, reg: q.R, u: u,
-			key: "rt(" + regKey(q.R, memo) + ";" + strconv.FormatInt(u, 10) + ")"}
+		*n = cnode{op: opRTrav, reg: q.R, u: u,
+			key: "rt(" + cz.regKey(q.R) + ";" + strconv.FormatInt(u, 10) + ")"}
 	case pattern.RRTrav:
 		u := pattern.Used(q.U, q.R)
-		return &cnode{op: opRRTrav, reg: q.R, u: u, a: q.Repeats,
-			key: "rrt(" + regKey(q.R, memo) + ";" + strconv.FormatInt(u, 10) + ";" +
+		*n = cnode{op: opRRTrav, reg: q.R, u: u, a: q.Repeats,
+			key: "rrt(" + cz.regKey(q.R) + ";" + strconv.FormatInt(u, 10) + ";" +
 				strconv.FormatInt(q.Repeats, 10) + ")"}
 	case pattern.RAcc:
 		u := pattern.Used(q.U, q.R)
-		return &cnode{op: opRAcc, reg: q.R, u: u, a: q.Count,
-			key: "ra(" + regKey(q.R, memo) + ";" + strconv.FormatInt(u, 10) + ";" +
+		*n = cnode{op: opRAcc, reg: q.R, u: u, a: q.Count,
+			key: "ra(" + cz.regKey(q.R) + ";" + strconv.FormatInt(u, 10) + ";" +
 				strconv.FormatInt(q.Count, 10) + ")"}
 	case pattern.Nest:
 		u := pattern.Used(q.U, q.R)
@@ -273,66 +384,115 @@ func canon(p pattern.Pattern, memo map[*region.Region]string) *cnode {
 		if q.Inner != pattern.InnerSTrav {
 			order, noSeq = pattern.OrderRandom, false
 		}
-		return &cnode{op: opNest, reg: q.R, u: u, a: count, m: q.M, order: order, inner: q.Inner, noSeq: noSeq,
-			key: "nst(" + regKey(q.R, memo) + ";" + strconv.FormatInt(u, 10) + ";" +
+		*n = cnode{op: opNest, reg: q.R, u: u, a: count, m: q.M, order: order, inner: q.Inner, noSeq: noSeq,
+			key: "nst(" + cz.regKey(q.R) + ";" + strconv.FormatInt(u, 10) + ";" +
 				strconv.FormatInt(q.M, 10) + ";" + q.Inner.String() + ";" +
 				strconv.FormatInt(count, 10) + ";" + order.String() + ";" + boolKey(noSeq) + ")"}
 	case pattern.Seq:
 		// ⊕ is associative: flatten nested Seq nodes. (⊙ is *not*
 		// flattened — nested concurrent groups divide the cache
 		// hierarchically and singleton/nested groups are preserved so
-		// the IR matches the tree walker exactly.)
-		n := &cnode{op: opSeq}
-		for _, sub := range q {
-			k := canon(sub, memo)
-			if k.op == opSeq {
-				n.kids = append(n.kids, k.kids...)
-			} else {
-				n.kids = append(n.kids, k)
-			}
-		}
-		n.key = compoundKey("+", n.kids)
+		// the IR matches the tree walker exactly.) Nested Seq operands
+		// splice their children straight into this node, so no
+		// intermediate ⊕ node or child list is built.
+		*n = cnode{op: opSeq}
+		cz.flattenSeq(n, q)
+		n.size = compoundSize(n.kids)
+		cz.nFoot++ // fMax
 		return n
 	case pattern.Conc:
 		// ⊙ is commutative: every term of the model (miss sums,
 		// footprint shares, max-merged result states) is independent
 		// of operand order, so sort children by canonical key.
-		n := &cnode{op: opConc, kids: make([]*cnode, 0, len(q))}
+		*n = cnode{op: opConc, kids: make([]*cnode, 0, len(q))}
 		for _, sub := range q {
-			n.kids = append(n.kids, canon(sub, memo))
+			k := cz.canon(sub)
+			k.render()
+			n.kids = append(n.kids, k)
 		}
-		sort.SliceStable(n.kids, func(i, j int) bool { return n.kids[i].key < n.kids[j].key })
-		n.key = compoundKey("*", n.kids)
+		slices.SortStableFunc(n.kids, func(a, b *cnode) int { return strings.Compare(a.key, b.key) })
+		n.size = compoundSize(n.kids)
+		cz.nInstrs += len(n.kids) + 1 // opConc, opNext between children, opEnd
+		cz.nFoot += len(n.kids) + 1   // fStore per child, fSum
 		return n
 	default:
 		panic(fmt.Sprintf("costir: unknown pattern type %T", p))
 	}
+	// A basic pattern: one instruction and one footprint instruction.
+	n.size = len(n.key)
+	cz.nInstrs++
+	cz.nFoot++
+	return n
 }
 
-func compoundKey(opSym string, kids []*cnode) string {
-	var b strings.Builder
-	size := len(opSym) + 2 + len(kids)
-	for _, k := range kids {
-		size += len(k.key)
+// flattenSeq appends the canonical operands of q to n's children,
+// descending into nested Seq operands in place.
+func (cz *canonicalizer) flattenSeq(n *cnode, q pattern.Seq) {
+	for _, sub := range q {
+		if inner, ok := sub.(pattern.Seq); ok {
+			cz.flattenSeq(n, inner)
+			continue
+		}
+		n.kids = append(n.kids, cz.canon(sub))
 	}
-	b.Grow(size)
-	b.WriteString(opSym)
-	b.WriteByte('(')
-	for i, k := range kids {
+}
+
+// compoundSize is the rendered length of a compound node over kids:
+// an operator symbol, parentheses, the children and their separators.
+func compoundSize(kids []*cnode) int {
+	size := len("+()") + len(kids) - 1
+	for _, k := range kids {
+		size += k.size
+	}
+	return size
+}
+
+// render returns the node's canonical rendering, writing it (once) in
+// a single pass over the subtree: a compound node renders as
+// sym(child,child,...) with sym "+" for ⊕ and "*" for ⊙.
+func (n *cnode) render() string {
+	if n.key == "" {
+		var b strings.Builder
+		b.Grow(n.size)
+		n.writeKey(&b)
+		n.key = b.String()
+	}
+	return n.key
+}
+
+func (n *cnode) writeKey(b *strings.Builder) {
+	if n.key != "" {
+		b.WriteString(n.key)
+		return
+	}
+	if n.op == opSeq {
+		b.WriteString("+(")
+	} else {
+		b.WriteString("*(")
+	}
+	for i, k := range n.kids {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(k.key)
+		k.writeKey(b)
 	}
 	b.WriteByte(')')
-	return b.String()
+}
+
+// regID is a region's canonical identity with its parent chain already
+// interned: two regions are the same to the cost model exactly when
+// their names, geometries and interned parents are.
+type regID struct {
+	name   string
+	n, w   int64
+	parent int32
 }
 
 // compiler lowers a canonical tree into the two instruction streams.
 type compiler struct {
 	regions []RegionInfo
-	regIdx  map[string]int32 // canonical region key -> dense index
-	regMemo map[*region.Region]string
+	regPtr  map[*region.Region]int32 // region pointer -> dense index
+	regIdx  map[regID]int32          // canonical identity -> dense index
 
 	instrs    []instr
 	foot      []footInstr
@@ -346,20 +506,21 @@ type compiler struct {
 // regIndex interns a region (and, first, its ancestor chain) into the
 // dense table, deduplicating by canonical identity.
 func (c *compiler) regIndex(r *region.Region) int32 {
-	if c.regMemo == nil {
-		c.regMemo = map[*region.Region]string{}
-	}
-	key := regKey(r, c.regMemo)
-	if idx, ok := c.regIdx[key]; ok {
+	if idx, ok := c.regPtr[r]; ok {
 		return idx
 	}
 	parent := int32(-1)
 	if r.Parent != nil {
 		parent = c.regIndex(r.Parent)
 	}
-	idx := int32(len(c.regions))
-	c.regions = append(c.regions, RegionInfo{Name: r.Name, N: r.N, W: r.W, Parent: parent})
-	c.regIdx[key] = idx
+	id := regID{name: r.Name, n: r.N, w: r.W, parent: parent}
+	idx, ok := c.regIdx[id]
+	if !ok {
+		idx = int32(len(c.regions))
+		c.regions = append(c.regions, RegionInfo{Name: r.Name, N: r.N, W: r.W, Parent: parent})
+		c.regIdx[id] = idx
+	}
+	c.regPtr[r] = idx
 	return idx
 }
 

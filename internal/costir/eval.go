@@ -474,8 +474,8 @@ func isRandomOp(in *instr) bool {
 // behind with the previous row contents, mirroring the tree walker's
 // mergeState: earlier regions survive as long as the new resident
 // bytes leave room, scaled down proportionally otherwise; entries
-// overlapping the new region (same identity or related through the
-// parent chain) are superseded.
+// overlapping the new region (same identity, an ancestor or a
+// descendant; see related) are superseded.
 func (ev *evaluator) mergeBasic(p *Program, row []float64, li int, lv costmath.Level, ri int32, rhoNew float64) {
 	lst := ev.stateNZ[li]
 	newBytes := rhoNew * float64(p.regions[ri].Size())
@@ -484,26 +484,9 @@ func (ev *evaluator) mergeBasic(p *Program, row []float64, li int, lv costmath.L
 		ev.resetTo(row, li, ri, rhoNew)
 		return
 	}
-	// Mark ri's ancestor-or-self chain once; relatedness of each old
-	// entry then needs only a stamp probe plus its own parent walk.
-	ev.gen++
-	for x := ri; x >= 0; x = p.regions[x].Parent {
-		ev.ancStamp[x] = ev.gen
-	}
-	relatedToNew := func(r int32) bool {
-		if ev.ancStamp[r] == ev.gen {
-			return true // r is ri or an ancestor of ri
-		}
-		for x := p.regions[r].Parent; x >= 0; x = p.regions[x].Parent {
-			if x == ri {
-				return true // ri contains r
-			}
-		}
-		return false
-	}
 	var oldBytes float64
 	for _, r := range lst {
-		if r == ri || relatedToNew(r) {
+		if p.related(r, ri) {
 			continue
 		}
 		oldBytes += row[r] * float64(p.regions[r].Size())
@@ -521,7 +504,7 @@ func (ev *evaluator) mergeBasic(p *Program, row []float64, li int, lv costmath.L
 		if r == ri {
 			continue // re-inserted below with its new fraction
 		}
-		if relatedToNew(r) {
+		if p.related(r, ri) {
 			row[r] = 0
 			continue
 		}
@@ -539,6 +522,18 @@ func (ev *evaluator) mergeBasic(p *Program, row []float64, li int, lv costmath.L
 	out[i] = ri
 	ev.stateNZ[li] = out
 	ev.boundRow(p, row, li)
+}
+
+// related reports whether regions a and b overlap in memory: one is
+// an ancestor-or-self of the other. Preorder intervals of a forest
+// either nest or are disjoint, so comparing the later-starting
+// region's number against the other's interval end decides it.
+func (p *Program) related(a, b int32) bool {
+	pa, pb := p.pre[a], p.pre[b]
+	if pa <= pb {
+		return pb < p.end[a]
+	}
+	return pa < p.end[b]
 }
 
 // resetTo empties one level's state and leaves only region ri resident.
@@ -614,11 +609,13 @@ func (ev *evaluator) concMerge(p *Program, f *frame, li, nR int) {
 	// every merged region. Mark the merged regions and their ancestor
 	// chains once (generation stamps avoid clearing), so each survival
 	// test is a parent-chain walk instead of a scan over all merged
-	// regions.
+	// regions. A chain walk stops at the first ancestor already
+	// stamped: every walk runs to a root or to such an ancestor, so
+	// the rest of that chain is stamped already.
 	ev.gen++
 	for _, n := range f.mergedNZ[li] {
 		ev.mergedStamp[n] = ev.gen
-		for x := n; x >= 0; x = p.regions[x].Parent {
+		for x := n; x >= 0 && ev.ancStamp[x] != ev.gen; x = p.regions[x].Parent {
 			ev.ancStamp[x] = ev.gen
 		}
 	}

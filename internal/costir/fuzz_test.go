@@ -3,7 +3,8 @@ package costir_test
 // FuzzCompileParity decodes arbitrary bytes into a bounded random
 // pattern tree and checks the headline guarantee of the cost IR: the
 // compiled evaluator and the reference tree walker agree on every
-// hierarchy level within 1e-9 relative. (This test lives in an
+// hierarchy level within 1e-9 relative. It also holds the program's
+// canonical form to the concatenating oracle (oracle_test.go). (This test lives in an
 // external test package so it can drive both evaluators through
 // internal/cost without an import cycle.)
 
@@ -159,6 +160,9 @@ func FuzzCompileParity(f *testing.F) {
 		prog, err := costir.Compile(p)
 		if err != nil {
 			t.Fatalf("Compile(%v): %v", p, err)
+		}
+		if got, want := prog.Canonical(), oracleCanonical(p); got != want {
+			t.Fatalf("Canonical() of %v differs from the concatenating oracle:\n  got  %q\n  want %q", p, got, want)
 		}
 		for _, h := range hiers {
 			m := cost.MustNew(h)

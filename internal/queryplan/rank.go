@@ -161,21 +161,25 @@ func price(h *hardware.Hierarchy, prune int64, t *Plan, seen map[string]bool) (C
 	if err != nil {
 		return CostedPlan{}, false, fmt.Errorf("queryplan: lowering plan %s: %w", t.Signature(), err)
 	}
-	if seen != nil {
-		canon, err := costir.CanonicalKey(pat)
-		if err != nil {
-			return CostedPlan{}, false, fmt.Errorf("queryplan: canonicalizing plan %s: %w", t.Signature(), err)
+	// One canonicalization yields both the dedup key and the program.
+	prog, err := costir.CompileIf(pat, func(canon string) bool {
+		if seen == nil {
+			return true
 		}
 		key := fmt.Sprintf("%s|%.17g", canon, cpuNS)
 		if seen[key] {
-			return CostedPlan{}, false, nil
+			return false
 		}
 		seen[key] = true
+		return true
+	})
+	if err != nil {
+		return CostedPlan{}, false, fmt.Errorf("queryplan: compiling plan %s: %w", t.Signature(), err)
 	}
-	c := Candidate{Algorithm: Algorithm(t.Signature()), Pattern: pat, Fanout: t.Fanout, CPUNS: cpuNS}
-	if err := c.compile(); err != nil {
-		return CostedPlan{}, false, err
+	if prog == nil {
+		return CostedPlan{}, false, nil
 	}
+	c := Candidate{Algorithm: Algorithm(t.Signature()), Pattern: pat, Compiled: prog, Fanout: t.Fanout, CPUNS: cpuNS}
 	return c.on(h), true, nil
 }
 

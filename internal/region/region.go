@@ -9,7 +9,10 @@
 // of which region remains cached between patterns.
 package region
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Region is a data region R with R.n items of R.w bytes each.
 type Region struct {
@@ -70,7 +73,7 @@ func (r *Region) Sub(j, m int64) *Region {
 		n++
 	}
 	return &Region{
-		Name:   fmt.Sprintf("%s_%d", r.Name, j),
+		Name:   r.Name + "_" + strconv.FormatInt(j, 10),
 		N:      n,
 		W:      r.W,
 		Parent: r,

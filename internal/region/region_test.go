@@ -53,6 +53,29 @@ func TestSubSplitsEvenly(t *testing.T) {
 	}
 }
 
+// Sub-region names are part of every region's canonical identity, so
+// they must stay exactly "<parent>_<j>", independent of m.
+func TestSubNames(t *testing.T) {
+	cases := []struct {
+		parent string
+		j, m   int64
+		want   string
+	}{
+		{"U", 0, 2, "U_0"},
+		{"U", 1, 2, "U_1"},
+		{"V", 9, 10, "V_9"},
+		{"U_1", 0, 2, "U_1_0"},
+		{"H", 63, 64, "H_63"},
+		{"R", 1234, 4096, "R_1234"},
+		{"", 3, 4, "_3"},
+	}
+	for _, tc := range cases {
+		if got := New(tc.parent, 1<<20, 8).Sub(tc.j, tc.m).Name; got != tc.want {
+			t.Errorf("New(%q).Sub(%d, %d).Name = %q, want %q", tc.parent, tc.j, tc.m, got, tc.want)
+		}
+	}
+}
+
 func TestSubPropertyPartition(t *testing.T) {
 	// Property: sub-region lengths always sum to the parent length and
 	// differ by at most one.
