@@ -162,22 +162,6 @@ func (r *Result) MemoryTimeNS() float64 {
 	return t
 }
 
-// Price analyzes p and returns the expected per-level counters. The
-// pattern must validate; regions need no materialized Base. Callers
-// pricing many patterns (or the same pattern repeatedly) should
-// Prepare once and price through a Pricer, which reuses its analysis
-// buffers and memoizes the distance-mass integrals (see pricer.go).
-func (m *Model) Price(p pattern.Pattern) (*Result, error) {
-	prep, err := Prepare(p)
-	if err != nil {
-		return nil, err
-	}
-	var az analyzer
-	res := &Result{hier: m.hier}
-	m.priceInto(&az, prep, res)
-	return res, nil
-}
-
 // priceInto runs the per-level analysis of prep with az's scratch
 // buffers, writing the outcome into res (levels resized in place).
 func (m *Model) priceInto(az *analyzer, prep *PreparedPattern, res *Result) {

@@ -71,7 +71,7 @@ func TestFullyAssociativeSTravExact(t *testing.T) {
 	} {
 		r := region.New("U"+tc.name, tc.lines*4, 8) // 4 items per 32 B line
 		p := pattern.RSTrav{R: r, Repeats: 3, Dir: pattern.Uni}
-		res, err := m.Price(p)
+		res, err := priceOnce(m, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestFAExpectationsMatchCostmath(t *testing.T) {
 
 	check := func(name string, p pattern.Pattern, want float64) {
 		t.Helper()
-		res, err := m.Price(p)
+		res, err := priceOnce(m, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestRRTravTracksTrace(t *testing.T) {
 	for _, lines := range []int64{32, 128} {
 		r := region.New("Urr", lines*4, 8)
 		p := pattern.RRTrav{R: r, Repeats: 4}
-		res, err := m.Price(p)
+		res, err := priceOnce(m, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,11 +151,11 @@ func TestAssociativityCorrectionDirection(t *testing.T) {
 
 	r := region.New("U", 240, 8) // 60 lines: fits FA, conflicts DM
 	p := pattern.RRTrav{R: r, Repeats: 8}
-	faRes, err := fa.Price(p)
+	faRes, err := priceOnce(fa, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dmRes, err := dm.Price(p)
+	dmRes, err := priceOnce(dm, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestMissProbMonotonicAndBounded(t *testing.T) {
 
 func TestPriceRejectsInvalidPattern(t *testing.T) {
 	m := MustNew(hardware.SmallTest())
-	if _, err := m.Price(pattern.STrav{}); err == nil {
+	if _, err := priceOnce(m, pattern.STrav{}); err == nil {
 		t.Fatal("expected error for pattern without region")
 	}
 }
@@ -214,7 +214,7 @@ func TestResultMeasurerSurface(t *testing.T) {
 	h := hardware.SmallTest()
 	m := MustNew(h)
 	r := region.New("U", 4096, 8)
-	res, err := m.Price(pattern.STrav{R: r})
+	res, err := priceOnce(m, pattern.STrav{R: r})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,26 +8,26 @@ import (
 	"repro/internal/region"
 )
 
-// This file is the batch entry point of the analytical backend. Grid
-// sweeps (internal/sweep) price hundreds of patterns on the same
-// hierarchy; pricing each through (*Model).Price re-validates,
-// re-flattens, and — far more expensively — re-integrates the same
-// distance masses over and over: the recursive operator patterns
-// (quick-sort's 2^k equally sized half-segments, radix passes, B-tree
-// levels) generate exponentially many atoms that share a handful of
-// distinct (geometry, mass, rate, peers) integration inputs per level.
+// This file is the entry point of the analytical backend. Grid sweeps
+// (internal/sweep) price hundreds of patterns on the same hierarchy;
+// pricing each one anew would re-validate, re-flatten, and — far
+// more expensively — re-integrate the same distance masses over and
+// over: the recursive operator patterns (quick-sort's 2^k equally sized
+// half-segments, radix passes, B-tree levels) generate exponentially
+// many atoms that share a handful of distinct (geometry, mass, rate,
+// peers) integration inputs per level.
 //
 // A Pricer therefore (a) hoists validation and flattening into Prepare,
 // (b) reuses every analysis buffer across patterns, and (c) memoizes
 // the pure integration kernel expectedMissProb by the exact values of
 // its inputs. A memo hit returns the very float64 a fresh computation
-// would produce, so Pricer results are bit-identical to (*Model).Price
-// — pinned by TestPricerMatchesPrice — while a warm pricer runs the
-// full validation grid several times faster with zero allocations per
-// pattern.
+// would produce, so Pricer results are bit-identical to a fresh,
+// unmemoized analysis — pinned by TestPricerMatchesPrice — while a warm
+// pricer runs the full validation grid several times faster with zero
+// allocations per pattern.
 
 // PreparedPattern is a validated, flattened pattern, reusable across
-// any number of Pricer (or Model) invocations and hierarchies.
+// any number of Pricer invocations and hierarchies.
 type PreparedPattern struct {
 	phases []phase
 	src    pattern.Pattern
@@ -73,8 +73,8 @@ func (pr *Pricer) Price(prep *PreparedPattern) *Result {
 
 // PriceInto prices a prepared pattern into res, reusing res's level
 // slice. In steady state (warm buffers, warm memo) it performs no heap
-// allocation. Results are bit-identical to (*Model).Price on the same
-// pattern.
+// allocation. Results are bit-identical to a fresh, unmemoized
+// analysis of the same pattern.
 func (pr *Pricer) PriceInto(prep *PreparedPattern, res *Result) {
 	pr.m.priceInto(&pr.az, prep, res)
 }
@@ -90,9 +90,9 @@ type stackEntry struct {
 }
 
 // analyzer holds the scratch state of one level analysis. Its zero
-// value is ready to use (allocating as it goes, as the one-shot Price
-// path does); a Pricer's analyzer persists, so the buffers and the
-// integration memo reach a steady state.
+// value is ready to use (allocating as it goes, without memos); a
+// Pricer's analyzer persists, so the buffers and the integration memo
+// reach a steady state.
 type analyzer struct {
 	level    int32 // hierarchy level index (memo key component)
 	memo     map[memoKey]float64

@@ -50,10 +50,24 @@ func randComposite(rng *workload.RNG, h *hardware.Hierarchy, depth int) pattern.
 	}
 }
 
+// priceOnce prices p through a fresh Prepare and a zero-value,
+// unmemoized analyzer: the one-shot reference the memoizing Pricer is
+// checked against.
+func priceOnce(m *Model, p pattern.Pattern) (*Result, error) {
+	prep, err := Prepare(p)
+	if err != nil {
+		return nil, err
+	}
+	var az analyzer
+	res := &Result{}
+	m.priceInto(&az, prep, res)
+	return res, nil
+}
+
 // TestPricerMatchesPrice pins the batch path to the one-shot path:
 // pricing through a persistent (warm, memoized) Pricer must reproduce
-// (*Model).Price bit-for-bit on every level, across many patterns
-// sharing one pricer.
+// priceOnce bit-for-bit on every level, across many patterns sharing
+// one pricer.
 func TestPricerMatchesPrice(t *testing.T) {
 	rng := workload.NewRNG(20260809)
 	const hierarchies = 6
@@ -66,9 +80,9 @@ func TestPricerMatchesPrice(t *testing.T) {
 		res := &Result{}
 		for pi := 0; pi < patternsPer; pi++ {
 			p := randComposite(rng, h, 3)
-			want, err := m.Price(p)
+			want, err := priceOnce(m, p)
 			if err != nil {
-				t.Fatalf("Price: %v", err)
+				t.Fatalf("priceOnce: %v", err)
 			}
 			prep, err := Prepare(p)
 			if err != nil {

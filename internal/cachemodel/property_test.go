@@ -98,7 +98,7 @@ func TestPropertyAnalyticalTracksTraceFA(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: New: %v", i, err)
 		}
-		res, err := m.Price(p)
+		res, err := priceOnce(m, p)
 		if err != nil {
 			t.Fatalf("trial %d: Price(%s): %v", i, p, err)
 		}
@@ -151,11 +151,11 @@ func TestPropertyAssociativityBrackets(t *testing.T) {
 			faH.Levels[j].Associativity = 0
 		}
 		p := randPattern(rng, h)
-		res, err := MustNew(h).Price(p)
+		res, err := priceOnce(MustNew(h), p)
 		if err != nil {
 			t.Fatalf("trial %d: Price(%s): %v", i, p, err)
 		}
-		faRes, err := MustNew(faH).Price(p)
+		faRes, err := priceOnce(MustNew(faH), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestPropertyFullyAssociativeSTravExact(t *testing.T) {
 		n := (capLines/2 + rng.Intn(4*capLines)) * (line / 8)
 		p := pattern.STrav{R: region.New("U", n, 8)}
 		m := MustNew(h)
-		res, err := m.Price(p)
+		res, err := priceOnce(m, p)
 		if err != nil {
 			t.Fatal(err)
 		}

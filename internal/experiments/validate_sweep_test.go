@@ -41,11 +41,11 @@ func runPointLoop(vcfg ValidationConfig) (*Validation, error) {
 			var p pattern.Pattern
 			if vcfg.Backend == BackendAnalytical {
 				p = op.pat(cfg, sz)
-				priced, err := ana.Price(p)
+				prep, err := cachemodel.Prepare(p)
 				if err != nil {
 					return nil, err
 				}
-				c.meas = priced.MemoryTimeNS()
+				c.meas = ana.NewPricer().Price(prep).MemoryTimeNS()
 			} else {
 				c.meas, p = op.run(cfg, sz)
 			}

@@ -10,9 +10,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/costir"
-	"repro/internal/engine"
 	"repro/internal/hardware"
-	"repro/internal/pattern"
 	"repro/internal/region"
 )
 
@@ -113,29 +111,14 @@ func (so SearchOptions) parallelism() int {
 // ---------------------------------------------------------------------
 // Interned operator-step pricing (the context-free cost bound).
 
-// stepKind discriminates the primitive operator steps the bound prices.
-// Every step cost is the cold IR evaluation of the step's Table-2
-// pattern plus nothing else; compound operators are priced as sums of
-// steps.
-type stepKind uint8
-
-const (
-	stepProject stepKind = iota // filtered/projecting scan: s_trav(U,u) ⊙ s_trav(W)
-	stepSort                    // in-place quick-sort of one region
-	stepMerge                   // merge join: three concurrent s_trav
-	stepHash                    // hash join: build ⊕ probe (one unit, state threads inside)
-	stepNLJ                     // nested-loop join
-	stepPhj                     // whole partitioned hash join (partitions ⊕ clusters)
-)
-
-// stepKey is the geometry of one primitive step — everything its cold
-// cost depends on. n3/w3 hold the output region where present; m holds
-// the partition fan-out or the projection's bytes-used.
+// stepKey is the geometry of one operator step (ops.go) — everything
+// its cold cost depends on: the cardinality and width of each operand
+// in the step's argument order (zero past its arity), and m, the
+// partition fan-out or the projection's bytes-used.
 type stepKey struct {
-	kind           stepKind
-	m              int64
-	n1, w1, n2, w2 int64
-	n3, w3         int64
+	kind stepKind
+	m    int64
+	n, w [3]int64
 }
 
 // bounder prices the context-free cost bound: step costs interned by
@@ -223,13 +206,22 @@ func newBounder(hier *hardware.Hierarchy, prune int64, cpu CPUCosts) *bounder {
 	}
 }
 
-// step returns the interned cold cost of one primitive step.
+// step returns the interned cold cost of one operator step. Its
+// pattern is built only on a cache miss, over placeholder regions: a
+// step is always evaluated in isolation, so only geometry (and
+// intra-step pointer identity, which the engine builders preserve)
+// matters.
 func (b *bounder) step(k stepKey) (float64, error) {
 	ck := stepCacheKey{env: b.env, step: k}
 	if c, ok := stepCache.Load(ck); ok {
 		return c.(float64), nil
 	}
-	prog, err := costir.Compile(b.stepPattern(k))
+	var r [3]*region.Region
+	names := k.kind.placeholders()
+	for i := 0; i < k.kind.arity(); i++ {
+		r[i] = region.New(names[i], k.n[i], k.w[i])
+	}
+	prog, err := costir.Compile(sequence(k.kind.emit(nil, r, k.m, b.prune)))
 	if err != nil {
 		return 0, err
 	}
@@ -242,50 +234,43 @@ func (b *bounder) step(k stepKey) (float64, error) {
 	return c, nil
 }
 
-// stepPattern builds the step's Table-2 pattern from its geometry.
-// Region names are fixed placeholders: a step is always evaluated in
-// isolation, so only geometry (and intra-step pointer identity, which
-// the engine builders preserve) matters.
-func (b *bounder) stepPattern(k stepKey) pattern.Pattern {
-	switch k.kind {
-	case stepProject:
-		return engine.ProjectPattern(region.New("i", k.n1, k.w1), region.New("o", k.n3, k.w3), k.m)
-	case stepSort:
-		return engine.QuickSortPattern(region.New("s", k.n1, k.w1), b.prune)
-	case stepMerge:
-		return engine.MergeJoinPattern(
-			region.New("l", k.n1, k.w1), region.New("r", k.n2, k.w2), region.New("o", k.n3, k.w3))
-	case stepHash:
-		// n1/w1 is the probe side, n2/w2 the build side (callers decide).
-		build := region.New("b", k.n2, k.w2)
-		return engine.HashJoinPattern(
-			region.New("p", k.n1, k.w1), build, engine.HashRegionFor("h", build.N),
-			region.New("o", k.n3, k.w3))
-	case stepNLJ:
-		return engine.NestedLoopJoinPattern(
-			region.New("l", k.n1, k.w1), region.New("r", k.n2, k.w2), region.New("o", k.n3, k.w3))
-	case stepPhj:
-		// Priced as one whole pattern: the Seq state threading across
-		// partition passes and clusters (resident-parent discounts,
-		// steady-state cluster effects) shifts the cost by up to ~10%
-		// in either direction versus a per-step sum, enough to reorder
-		// survivors, so this is the one compound the bound cannot
-		// decompose. Sortedness is irrelevant to its cost, so the
-		// geometry key keeps one entry per (m, inputs, output).
-		return engine.PartitionedHashJoinPattern(
-			region.New("u", k.n1, k.w1), region.New("v", k.n2, k.w2),
-			region.New("o", k.n3, k.w3), k.m)
-	default:
-		panic(fmt.Sprintf("queryplan: unknown step kind %d", k.kind))
-	}
+// operandGeom is one operand's geometry as the bound sees it.
+type operandGeom struct {
+	n, w   int64
+	sorted bool
 }
 
-// joinBound prices one join operator in isolation: its primitive steps
-// cold-evaluated (each interned by geometry) plus the
-// hardware-independent CPU estimate — the additive, context-free
-// decomposition that keeps phase 1 linear in distinct step geometries.
-// The per-operator result is interned too, so the common case is one
-// map hit.
+// opCost prices one operator in isolation: each of its steps the
+// operator table lists (ops.go), skipping sorts of key-ordered inputs,
+// cold-evaluated and interned by geometry, plus the step's CPU term —
+// the additive, context-free decomposition that keeps phase 1 linear in
+// distinct step geometries. g holds each slot's geometry; m is the
+// join's fan-out or the scan's bytes-used.
+func (b *bounder) opCost(steps []step, g *[numSlots]operandGeom, m int64) (float64, error) {
+	var mem, cpu float64
+	for _, s := range steps {
+		if s.unlessSorted && g[s.args[0]].sorted {
+			continue
+		}
+		k := stepKey{kind: s.kind, m: m}
+		var n [3]float64
+		for i := 0; i < s.kind.arity(); i++ {
+			o := g[s.args[i]]
+			k.n[i], k.w[i], n[i] = o.n, o.w, float64(o.n)
+		}
+		c, err := b.step(k)
+		if err != nil {
+			return 0, err
+		}
+		mem += c
+		cpu += s.kind.cpu(b.cpu, n)
+	}
+	return mem + cpu, nil
+}
+
+// joinBound prices one join operator in isolation (opCost). The
+// per-operator result is interned too, so the common case is one map
+// hit.
 func (b *bounder) joinBound(k opKey) (float64, error) {
 	b.opMu.RLock()
 	c, ok := b.ops[k]
@@ -293,84 +278,23 @@ func (b *bounder) joinBound(k opKey) (float64, error) {
 	if ok {
 		return c, nil
 	}
-	mem, err := b.joinMem(k)
+	i, err := operatorOf(OpJoin, k.alg)
 	if err != nil {
 		return 0, err
 	}
-	c = mem + b.joinCPU(k)
+	g := [numSlots]operandGeom{
+		slotLeft:  {k.n1, k.w1, k.sorted1},
+		slotRight: {k.n2, k.w2, k.sorted2},
+		slotOut:   {n: k.nOut, w: k.wOut},
+	}
+	fillBuildProbe(&g, k.n1, k.n2)
+	if c, err = b.opCost(operators[i].steps, &g, k.fanout); err != nil {
+		return 0, err
+	}
 	b.opMu.Lock()
 	b.ops[k] = c
 	b.opMu.Unlock()
 	return c, nil
-}
-
-// joinMem sums the operator's cold step costs, mirroring the step list
-// Plan.Lower emits for the same node.
-func (b *bounder) joinMem(k opKey) (float64, error) {
-	switch k.alg {
-	case MergeJoin:
-		return b.step(stepKey{kind: stepMerge, n1: k.n1, w1: k.w1, n2: k.n2, w2: k.w2, n3: k.nOut, w3: k.wOut})
-	case SortMergeJoin:
-		var sum float64
-		if !k.sorted1 {
-			c, err := b.step(stepKey{kind: stepSort, n1: k.n1, w1: k.w1})
-			if err != nil {
-				return 0, err
-			}
-			sum += c
-		}
-		if !k.sorted2 {
-			c, err := b.step(stepKey{kind: stepSort, n1: k.n2, w1: k.w2})
-			if err != nil {
-				return 0, err
-			}
-			sum += c
-		}
-		c, err := b.step(stepKey{kind: stepMerge, n1: k.n1, w1: k.w1, n2: k.n2, w2: k.w2, n3: k.nOut, w3: k.wOut})
-		if err != nil {
-			return 0, err
-		}
-		return sum + c, nil
-	case HashJoin:
-		// Build on the smaller input, exactly as Plan.Lower does.
-		np, wp, nb, wb := k.n1, k.w1, k.n2, k.w2
-		if k.n1 < k.n2 {
-			np, wp, nb, wb = k.n2, k.w2, k.n1, k.w1
-		}
-		return b.step(stepKey{kind: stepHash, n1: np, w1: wp, n2: nb, w2: wb, n3: k.nOut, w3: k.wOut})
-	case PartitionedHashJoin:
-		return b.step(stepKey{kind: stepPhj, m: k.fanout, n1: k.n1, w1: k.w1, n2: k.n2, w2: k.w2, n3: k.nOut, w3: k.wOut})
-	case NestedLoopJoin:
-		return b.step(stepKey{kind: stepNLJ, n1: k.n1, w1: k.w1, n2: k.n2, w2: k.w2, n3: k.nOut, w3: k.wOut})
-	default:
-		return 0, fmt.Errorf("queryplan: unknown join algorithm %q", k.alg)
-	}
-}
-
-// joinCPU mirrors the lowerer's per-algorithm CPU estimates (Eq. 6.1's
-// hardware-independent component).
-func (b *bounder) joinCPU(k opKey) float64 {
-	nl, nr, no := float64(k.n1), float64(k.n2), float64(k.nOut)
-	switch k.alg {
-	case NestedLoopJoin:
-		return b.cpu.Compare*nl*nr + b.cpu.Move*no
-	case MergeJoin:
-		return b.cpu.Compare*(nl+nr) + b.cpu.Move*no
-	case SortMergeJoin:
-		var cpu float64
-		if !k.sorted1 {
-			cpu += b.cpu.sortNS(nl)
-		}
-		if !k.sorted2 {
-			cpu += b.cpu.sortNS(nr)
-		}
-		return cpu + b.cpu.Compare*(nl+nr) + b.cpu.Move*no
-	case HashJoin:
-		return b.cpu.Hash*(nl+nr) + b.cpu.Move*no
-	case PartitionedHashJoin:
-		return b.cpu.Partition*(nl+nr) + b.cpu.Hash*(nl+nr) + b.cpu.Move*no
-	}
-	return 0
 }
 
 // leafBound prices a scan leaf's own materialization step. A bare
@@ -381,15 +305,11 @@ func (b *bounder) leafBound(leaf *Plan) (float64, error) {
 	if leaf.Filter >= 1 && leaf.Proj <= 0 {
 		return 0, nil
 	}
-	mem, err := b.step(stepKey{
-		kind: stepProject, m: leaf.Proj,
-		n1: leaf.Rel.Tuples, w1: leaf.Rel.Width,
-		n3: leaf.Out.Tuples, w3: leaf.Out.Width,
-	})
-	if err != nil {
-		return 0, err
+	g := [numSlots]operandGeom{
+		slotLeft: {n: leaf.Rel.Tuples, w: leaf.Rel.Width},
+		slotOut:  {n: leaf.Out.Tuples, w: leaf.Out.Width},
 	}
-	return mem + b.cpu.Compare*float64(leaf.Rel.Tuples) + b.cpu.Move*float64(leaf.Out.Tuples), nil
+	return b.opCost([]step{scanStep}, &g, leaf.Proj)
 }
 
 // ---------------------------------------------------------------------
@@ -407,7 +327,7 @@ type cand struct {
 	// tie-break that keeps memo pruning and final ordering stable and
 	// independent of which worker built which subset.
 	seq         int32
-	alg         int8 // index into joinAlgs; algLeaf for scan leaves
+	alg         int8 // index into the operator table; algLeaf for scan leaves
 	fanout      int32
 	left, right subRef
 	outN, outW  int64
@@ -417,20 +337,6 @@ type cand struct {
 
 // algLeaf marks a scan-leaf candidate.
 const algLeaf = int8(-1)
-
-// joinAlgs maps the cand.alg index back to the algorithm inventory.
-var joinAlgs = [...]Algorithm{
-	MergeJoin, SortMergeJoin, HashJoin, PartitionedHashJoin, NestedLoopJoin,
-}
-
-func algIndex(a Algorithm) int8 {
-	for i, x := range joinAlgs {
-		if x == a {
-			return int8(i)
-		}
-	}
-	panic(fmt.Sprintf("queryplan: unknown join algorithm %q", a))
-}
 
 // subRef addresses one candidate: the subset's bitmask plus a slot
 // packing (bucket index, class) as idx*2 + class.
@@ -628,7 +534,7 @@ func (d *dp) buildSubset(s uint32) error {
 			r1 := subRef{mask: s1, slot: sl1}
 			for _, sl2 := range e2.ranked {
 				c2 := e2.at(sl2)
-				outN, outW := d.pairGeometry(c1, c2, s1, s2)
+				outN, outW := d.q.joinEstimate(c1.outN, c1.outW, c2.outN, c2.outW, s1, s2)
 				if err := d.addJoins(entry, r1, c1, subRef{mask: s2, slot: sl2}, c2, outN, outW); err != nil {
 					return err
 				}
@@ -645,7 +551,11 @@ func (d *dp) buildSubset(s uint32) error {
 func (d *dp) addJoins(entry *memoEntry, r1 subRef, c1 *cand, r2 subRef, c2 *cand, outN, outW int64) error {
 	nl, nr := c1.outN, c2.outN
 	childBound := c1.bound + c2.bound
-	emit := func(alg Algorithm, fanout int64, sorted bool) error {
+	emit := func(alg Algorithm, fanout int64) error {
+		i, err := operatorOf(OpJoin, alg)
+		if err != nil {
+			return err
+		}
 		op, err := d.b.joinBound(opKey{
 			alg: alg, fanout: fanout,
 			n1: nl, w1: c1.outW, sorted1: c1.outSorted,
@@ -657,61 +567,33 @@ func (d *dp) addJoins(entry *memoEntry, r1 subRef, c1 *cand, r2 subRef, c2 *cand
 		}
 		entry.insert(cand{
 			bound: childBound + op,
-			alg:   algIndex(alg), fanout: int32(fanout),
+			alg:   i, fanout: int32(fanout),
 			left: r1, right: r2,
-			outN: outN, outW: outW, outSorted: sorted,
+			outN: outN, outW: outW, outSorted: operators[i].outSorted(c1.outSorted),
 		}, d.topK)
 		return nil
 	}
 
-	if c1.outSorted && c2.outSorted {
-		// Both inputs already key-ordered: a sort-merge join would sort
-		// nothing, so only the plain merge join is emitted.
-		if err := emit(MergeJoin, 0, true); err != nil {
-			return err
-		}
-	} else if err := emit(SortMergeJoin, 0, true); err != nil {
+	if err := emit(mergeAlgorithm(c1.outSorted, c2.outSorted), 0); err != nil {
 		return err
 	}
-	if err := emit(HashJoin, 0, false); err != nil {
+	if err := emit(HashJoin, 0); err != nil {
 		return err
 	}
 	for _, m := range d.opts.Fanouts {
-		if m*8 > nl || m*8 > nr {
-			continue // degenerate clusters
+		if !partitionable(m, nl, nr) {
+			continue
 		}
-		if err := emit(PartitionedHashJoin, m, false); err != nil {
+		if err := emit(PartitionedHashJoin, m); err != nil {
 			return err
 		}
 	}
 	if d.opts.NLJMaxInner > 0 && (nl <= d.opts.NLJMaxInner || nr <= d.opts.NLJMaxInner) {
-		// The outer relation's order survives a nested-loop join.
-		if err := emit(NestedLoopJoin, 0, c1.outSorted); err != nil {
+		if err := emit(NestedLoopJoin, 0); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// pairGeometry estimates the output of joining two memoized subplans:
-// cardinalities multiplied and scaled by every edge bridging the two
-// subsets, widths concatenated minus the shared key — the set-split
-// generalization of the exhaustive enumerator's joinOutput, and
-// identical to it (including the per-step rounding cascade) on
-// left-deep splits.
-func (d *dp) pairGeometry(c1, c2 *cand, s1, s2 uint32) (outN, outW int64) {
-	card := float64(c1.outN) * float64(c2.outN)
-	for _, edge := range d.q.Joins {
-		l, r := uint32(1)<<edge.Left, uint32(1)<<edge.Right
-		if (l&s1 != 0 && r&s2 != 0) || (l&s2 != 0 && r&s1 != 0) {
-			card *= edge.Selectivity
-		}
-	}
-	width := c1.outW + c2.outW - engine.KeyWidth
-	if width < engine.KeyWidth {
-		width = engine.KeyWidth
-	}
-	return clampTuples(card), width
 }
 
 // insert files a candidate into its order-class bucket, compacting the
@@ -801,26 +683,18 @@ func (d *dp) materializeNode(r subRef, cache map[subRef]*Plan) *Plan {
 	if c.alg == algLeaf {
 		p = d.q.scanPlan(int(c.rel))
 	} else {
-		// Every join output is named by its relation subset. A subset
-		// occurs at most once per plan tree, so the name is collision-free
-		// within any plan a memoized subplan can end up in — essential
-		// because the IR canonicalizer dedups regions by name and
-		// geometry, and a bushy plan's disjoint subtrees (e.g. two
-		// symmetric islands) routinely materialize same-sized
-		// intermediates that must stay distinct regions. The exhaustive
-		// enumerator's bare T%d names are safe only because left-deep
-		// plans have one intermediate per size; costs are unaffected
-		// either way (no collision under either scheme for left-deep
-		// plans), which the parity harness locks.
+		// Every join output is named by its relation subset (see
+		// subsetName). The exhaustive enumerator's bare T%d names are
+		// safe only because left-deep plans have one intermediate per
+		// size; costs are unaffected either way (no collision under
+		// either scheme for left-deep plans), which the parity harness
+		// locks.
 		p = &Plan{
 			Kind:      OpJoin,
-			Algorithm: joinAlgs[c.alg],
+			Algorithm: operators[c.alg].alg,
 			Fanout:    int64(c.fanout),
 			Children:  []*Plan{d.materializeNode(c.left, cache), d.materializeNode(c.right, cache)},
-			Out: Relation{
-				Name:   fmt.Sprintf("T%d.%x", bits.OnesCount32(r.mask)-1, r.mask),
-				Tuples: c.outN, Width: c.outW, Sorted: c.outSorted,
-			},
+			Out:       Relation{Name: subsetName(r.mask), Tuples: c.outN, Width: c.outW, Sorted: c.outSorted},
 		}
 	}
 	cache[r] = p

@@ -220,3 +220,39 @@ func TestSearchDPLargeJoinGraphs(t *testing.T) {
 		t.Fatalf("DP on the cyclic scenario: %d plans, err %v", len(plans), err)
 	}
 }
+
+// TestBoundStepsAllocFree guards the bound's hot path: once the step
+// cache holds a join's step geometries, pricing its steps picks and
+// keys them from operand geometry alone and allocates nothing — no
+// placeholder region or pattern is built on a cache hit.
+func TestBoundStepsAllocFree(t *testing.T) {
+	h := hardware.Origin2000()
+	b := newBounder(h, h.MinCapacity(), DefaultCPU())
+	g := [numSlots]operandGeom{
+		slotLeft:  {n: 30_000, w: 16},
+		slotRight: {n: 20_000, w: 32, sorted: true},
+		slotOut:   {n: 25_000, w: 40},
+	}
+	fillBuildProbe(&g, g[slotLeft].n, g[slotRight].n)
+	for i, op := range operators {
+		if op.kind != OpJoin {
+			continue
+		}
+		var fanout int64
+		if op.alg == PartitionedHashJoin {
+			fanout = 64
+		}
+		want, err := b.opCost(op.steps, &g, fanout) // warms the step cache
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if got, _ := b.opCost(operators[i].steps, &g, fanout); got != want {
+				t.Errorf("%s: warm bound %v, cold %v", op.alg, got, want)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: pricing warm steps allocates %.1f times per run, want 0", op.alg, allocs)
+		}
+	}
+}

@@ -80,36 +80,20 @@ func (q Query) scanPlan(i int) *Plan {
 	return &Plan{Kind: OpScan, Rel: rel, Filter: sel, Proj: proj, Out: out}
 }
 
-// aggVariants wraps every plan in the hash- and sort-based variant of
-// the grouping operator (OpAggregate or OpDistinct).
+// aggVariants wraps every plan in each variant of the grouping
+// operator (OpAggregate or OpDistinct), in operator-table order: hash-
+// before sort-based.
 func aggVariants(plans []*Plan, kind OpKind, groups int64) []*Plan {
-	hashAlg, sortAlg := HashAggregate, SortAggregate
-	outName := "A"
-	if kind == OpDistinct {
-		hashAlg, sortAlg = HashDistinct, SortDistinct
-		outName = "D"
-	}
 	out := make([]*Plan, 0, 2*len(plans))
 	for _, p := range plans {
-		hashOut := Relation{Name: outName, Tuples: groups, Width: p.Out.Width}
-		if kind == OpAggregate {
-			// The hash-aggregate's result is its aggregation table.
-			agg := engine.AggRegionFor(outName, groups)
-			hashOut = Relation{Name: outName, Tuples: agg.N, Width: agg.W}
+		for i := range operators {
+			if op := &operators[i]; op.kind == kind {
+				out = append(out, &Plan{
+					Kind: kind, Algorithm: op.alg, Groups: groups,
+					Children: []*Plan{p}, Out: op.unaryOut(p.Out, groups),
+				})
+			}
 		}
-		out = append(out, &Plan{
-			Kind: kind, Algorithm: hashAlg, Groups: groups,
-			Children: []*Plan{p}, Out: hashOut,
-		})
-		sortName := "G"
-		if kind == OpDistinct {
-			sortName = outName
-		}
-		out = append(out, &Plan{
-			Kind: kind, Algorithm: sortAlg, Groups: groups,
-			Children: []*Plan{p},
-			Out:      Relation{Name: sortName, Tuples: groups, Width: p.Out.Width, Sorted: true},
-		})
 	}
 	return out
 }

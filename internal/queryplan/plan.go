@@ -1,7 +1,7 @@
 package queryplan
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/engine"
@@ -65,8 +65,7 @@ func (p *Plan) Signature() string {
 }
 
 func (p *Plan) signature(b *strings.Builder) {
-	switch p.Kind {
-	case OpScan:
+	if p.Kind == OpScan {
 		if p.Filter < 1 || p.Proj > 0 {
 			b.WriteString("σ(")
 			b.WriteString(p.Rel.Name)
@@ -74,44 +73,45 @@ func (p *Plan) signature(b *strings.Builder) {
 		} else {
 			b.WriteString(p.Rel.Name)
 		}
-	case OpJoin:
+		return
+	}
+	if p.Kind == OpJoin {
 		b.WriteString("(")
 		p.Children[0].signature(b)
 		b.WriteString(" ")
-		b.WriteString(code(p.Algorithm, p.Fanout))
+		p.code(b)
 		b.WriteString(" ")
 		p.Children[1].signature(b)
 		b.WriteString(")")
-	case OpAggregate:
-		if p.Algorithm == HashAggregate {
-			b.WriteString("hashagg(")
-		} else {
-			b.WriteString("sortagg(")
-		}
-		p.Children[0].signature(b)
-		b.WriteString(")")
-	case OpDistinct:
-		if p.Algorithm == HashDistinct {
-			b.WriteString("hashdistinct(")
-		} else {
-			b.WriteString("sortdistinct(")
-		}
-		p.Children[0].signature(b)
-		b.WriteString(")")
-	case OpSort:
-		b.WriteString("sort(")
-		p.Children[0].signature(b)
-		b.WriteString(")")
+		return
+	}
+	p.code(b)
+	b.WriteString("(")
+	p.Children[0].signature(b)
+	b.WriteString(")")
+}
+
+// code writes the operator's signature code from the operator table;
+// a partitioned hash join appends its fan-out.
+func (p *Plan) code(b *strings.Builder) {
+	if i, err := operatorOf(p.Kind, p.Algorithm); err == nil {
+		b.WriteString(operators[i].code)
+	} else {
+		b.WriteString(string(p.Algorithm))
+	}
+	if p.Algorithm == PartitionedHashJoin {
+		b.WriteString(strconv.FormatInt(p.Fanout, 10))
 	}
 }
 
 // Lower composes the plan into one compound pattern plus its estimated
-// CPU time: every operator contributes its Table-2 pattern (built by
-// internal/engine) over its input and output regions, and operators are
-// sequenced with ⊕ in execution order (full materialization), so
-// Eq. 5.2 threads cache state from each operator into the next. An
-// unfiltered scan contributes no pattern of its own unless it is the
-// whole plan — its consumer reads the base region directly.
+// CPU time: every operator contributes the Table-2 steps and CPU terms
+// the operator table (ops.go) defines for its algorithm, over its input
+// and output regions, and operators are sequenced with ⊕ in execution
+// order (full materialization), so Eq. 5.2 threads cache state from
+// each operator into the next. An unfiltered scan contributes no
+// pattern of its own unless it is the whole plan — its consumer reads
+// the base region directly.
 //
 // pruneBytes bounds quick-sort recursion exactly as in
 // engine.QuickSortPattern (callers pass the smallest cache capacity).
@@ -125,10 +125,15 @@ func (p *Plan) Lower(cpu CPUCosts, pruneBytes int64) (pattern.Pattern, float64, 
 		// A bare unfiltered scan: the plan is the traversal itself.
 		l.steps = append(l.steps, engine.ScanPattern(out, 0))
 	}
-	if len(l.steps) == 1 {
-		return l.steps[0], l.cpuNS, nil
+	return sequence(l.steps), l.cpuNS, nil
+}
+
+// sequence composes steps with ⊕; a single step is its own pattern.
+func sequence(steps []pattern.Pattern) pattern.Pattern {
+	if len(steps) == 1 {
+		return steps[0]
 	}
-	return pattern.Seq(l.steps), l.cpuNS, nil
+	return pattern.Seq(steps)
 }
 
 // lowerer accumulates the ⊕ step list and CPU estimate of one plan.
@@ -142,115 +147,54 @@ type lowerer struct {
 // lower emits the steps of p's subtree and returns the region holding
 // p's (materialized) output.
 func (l *lowerer) lower(p *Plan) (*region.Region, error) {
-	switch p.Kind {
-	case OpScan:
-		base := p.Rel.Region()
+	var r [numSlots]*region.Region
+	if p.Kind == OpScan {
+		r[slotLeft] = p.Rel.Region()
 		if p.Filter >= 1 && p.Proj <= 0 {
-			return base, nil // consumed in place, no materialization
+			return r[slotLeft], nil // consumed in place, no materialization
 		}
-		out := p.Out.Region()
-		l.steps = append(l.steps, engine.ProjectPattern(base, out, p.Proj))
-		l.cpuNS += l.cpu.Compare*float64(base.N) + l.cpu.Move*float64(out.N)
-		return out, nil
-
-	case OpJoin:
-		lr, err := l.lower(p.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		rr, err := l.lower(p.Children[1])
-		if err != nil {
-			return nil, err
-		}
-		out := p.Out.Region()
-		nl, nr, no := float64(lr.N), float64(rr.N), float64(out.N)
-		switch p.Algorithm {
-		case NestedLoopJoin:
-			l.steps = append(l.steps, engine.NestedLoopJoinPattern(lr, rr, out))
-			l.cpuNS += l.cpu.Compare*nl*nr + l.cpu.Move*no
-		case MergeJoin:
-			l.steps = append(l.steps, engine.MergeJoinPattern(lr, rr, out))
-			l.cpuNS += l.cpu.Compare*(nl+nr) + l.cpu.Move*no
-		case SortMergeJoin:
-			if !p.Children[0].Out.Sorted {
-				l.steps = append(l.steps, engine.QuickSortPattern(lr, l.prune))
-				l.cpuNS += l.cpu.sortNS(nl)
-			}
-			if !p.Children[1].Out.Sorted {
-				l.steps = append(l.steps, engine.QuickSortPattern(rr, l.prune))
-				l.cpuNS += l.cpu.sortNS(nr)
-			}
-			l.steps = append(l.steps, engine.MergeJoinPattern(lr, rr, out))
-			l.cpuNS += l.cpu.Compare*(nl+nr) + l.cpu.Move*no
-		case HashJoin:
-			build, probe := rr, lr
-			if lr.N < rr.N {
-				build, probe = lr, rr
-			}
-			h := engine.HashRegionFor(out.Name+".h", build.N)
-			l.steps = append(l.steps, engine.HashJoinPattern(probe, build, h, out).(pattern.Seq)...)
-			l.cpuNS += l.cpu.Hash*(nl+nr) + l.cpu.Move*no
-		case PartitionedHashJoin:
-			l.steps = append(l.steps, engine.PartitionedHashJoinPattern(lr, rr, out, p.Fanout).(pattern.Seq)...)
-			l.cpuNS += l.cpu.Partition*(nl+nr) + l.cpu.Hash*(nl+nr) + l.cpu.Move*no
-		default:
-			return nil, fmt.Errorf("queryplan: unknown join algorithm %q", p.Algorithm)
-		}
-		return out, nil
-
-	case OpAggregate:
-		in, err := l.lower(p.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		n := float64(in.N)
-		if p.Algorithm == HashAggregate {
-			// The aggregation table is the materialized result.
-			agg := engine.AggRegionFor(p.Out.Name, p.Groups)
-			l.steps = append(l.steps, engine.HashAggregatePattern(in, agg))
-			l.cpuNS += l.cpu.Hash * n
-			return agg, nil
-		}
-		// Sort-based grouping: sort (unless already key-ordered), then
-		// one merged pass writing the group rows.
-		out := p.Out.Region()
-		if !p.Children[0].Out.Sorted {
-			l.steps = append(l.steps, engine.QuickSortPattern(in, l.prune))
-			l.cpuNS += l.cpu.sortNS(n)
-		}
-		l.steps = append(l.steps, pattern.Conc{pattern.STrav{R: in}, pattern.STrav{R: out}})
-		l.cpuNS += l.cpu.Compare * n
-		return out, nil
-
-	case OpDistinct:
-		in, err := l.lower(p.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		out := p.Out.Region()
-		n := float64(in.N)
-		if p.Algorithm == HashDistinct {
-			h := engine.HashRegionFor(out.Name+".h", in.N)
-			l.steps = append(l.steps, engine.HashDedupPattern(in, h, out))
-			l.cpuNS += l.cpu.Hash * n
-			return out, nil
-		}
-		if !p.Children[0].Out.Sorted {
-			l.steps = append(l.steps, engine.QuickSortPattern(in, l.prune))
-			l.cpuNS += l.cpu.sortNS(n)
-		}
-		l.steps = append(l.steps, pattern.Conc{pattern.STrav{R: in}, pattern.STrav{R: out}})
-		l.cpuNS += l.cpu.Compare * n
-		return out, nil
-
-	case OpSort:
-		in, err := l.lower(p.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		l.steps = append(l.steps, engine.QuickSortPattern(in, l.prune))
-		l.cpuNS += l.cpu.sortNS(float64(in.N))
-		return in, nil
+		r[slotOut] = p.Out.Region()
+		l.run(scanStep, &r, p.Proj)
+		return r[slotOut], nil
 	}
-	return nil, fmt.Errorf("queryplan: unknown operator kind %d", p.Kind)
+	i, err := operatorOf(p.Kind, p.Algorithm)
+	if err != nil {
+		return nil, err
+	}
+	op := &operators[i]
+	var sorted [numSlots]bool
+	for c, child := range p.Children {
+		if r[c], err = l.lower(child); err != nil {
+			return nil, err
+		}
+		sorted[c] = child.Out.Sorted
+	}
+	if op.inPlace {
+		r[slotOut] = r[slotLeft]
+	} else {
+		r[slotOut] = p.Out.Region()
+	}
+	if p.Kind == OpJoin {
+		fillBuildProbe(&r, r[slotLeft].N, r[slotRight].N)
+	}
+	for _, s := range op.steps {
+		if s.unlessSorted && sorted[s.args[0]] {
+			continue
+		}
+		l.run(s, &r, p.Fanout)
+	}
+	return r[slotOut], nil
+}
+
+// run emits one step over the operator's slot regions r and adds its
+// CPU term.
+func (l *lowerer) run(s step, r *[numSlots]*region.Region, m int64) {
+	var args [3]*region.Region
+	var n [3]float64
+	for i := 0; i < s.kind.arity(); i++ {
+		args[i] = r[s.args[i]]
+		n[i] = float64(args[i].N)
+	}
+	l.steps = s.kind.emit(l.steps, args, m, l.prune)
+	l.cpuNS += s.kind.cpu(l.cpu, n)
 }

@@ -2,6 +2,7 @@ package queryplan
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/cachesim"
@@ -367,6 +368,110 @@ func TestAggregateAndDistinctCandidates(t *testing.T) {
 		plans := ScoreOn(hardware.SmallTest(), cands)
 		if len(plans) != 2 || plans[0].TotalNS() > plans[1].TotalNS() {
 			t.Errorf("ScoreOn did not sort cheapest first: %v", plans)
+		}
+	}
+}
+
+// TestSortedGroupingSkipsSort: over key-ordered input, sort-based
+// grouping and duplicate elimination run no sort — their CPU estimate
+// is exactly one comparison per tuple, and they price below the same
+// relation unsorted, as Plan.Lower prices them inside whole plans.
+func TestSortedGroupingSkipsSort(t *testing.T) {
+	pl := newPlanner(t)
+	unsorted := Relation{Name: "U", Tuples: 200_000, Width: 16}
+	sorted := unsorted
+	sorted.Sorted = true
+	kinds := map[string]func(Relation) ([]Candidate, error){
+		"aggregate": func(u Relation) ([]Candidate, error) { return pl.AggregateCandidates(u, 512) },
+		"distinct":  func(u Relation) ([]Candidate, error) { return pl.DistinctCandidates(u, 5000) },
+	}
+	for name, cands := range kinds {
+		sortBased := func(u Relation) CostedPlan {
+			t.Helper()
+			cs, err := cands(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range ScoreOn(hardware.Origin2000(), cs) {
+				if p.Algorithm == SortAggregate || p.Algorithm == SortDistinct {
+					return p
+				}
+			}
+			t.Fatalf("%s: no sort-based candidate", name)
+			return CostedPlan{}
+		}
+		s, u := sortBased(sorted), sortBased(unsorted)
+		if want := DefaultCPU().Compare * float64(sorted.Tuples); s.CPUNS != want {
+			t.Errorf("%s over sorted input: CPU %v ns, want Compare·n = %v", name, s.CPUNS, want)
+		}
+		if s.TotalNS() >= u.TotalNS() {
+			t.Errorf("%s: sorted input prices %v ns, not below unsorted %v ns", name, s.TotalNS(), u.TotalNS())
+		}
+	}
+}
+
+// TestPlannerMatchesRescore: every alternative the Planner offers
+// prices, bit for bit, like the hand-built one-operator plan over the
+// same relations and output re-scored by phase 2 (Rescore).
+func TestPlannerMatchesRescore(t *testing.T) {
+	scan := func(r Relation) *Plan { return &Plan{Kind: OpScan, Rel: r, Filter: 1, Out: r} }
+	u := Relation{Name: "U", Tuples: 300_000, Width: 16}
+	v := Relation{Name: "V", Tuples: 40_000, Width: 32, Sorted: true}
+	const outTuples, groups = 250_000, 4096
+	for _, h := range []*hardware.Hierarchy{hardware.Origin2000(), hardware.ModernX86()} {
+		pl, err := NewPlanner(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range []struct{ u, v Relation }{{u, v}, {v, u}, {u, Relation{Name: "V", Tuples: 40_000, Width: 32}}} {
+			joins, err := pl.JoinCandidates(in.u, in.v, outTuples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			aggs, err := pl.AggregateCandidates(in.u, groups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dists, err := pl.DistinctCandidates(in.u, groups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cands []Candidate
+			var trees []*Plan
+			for _, c := range joins {
+				cands = append(cands, c)
+				trees = append(trees, &Plan{Kind: OpJoin, Algorithm: c.Algorithm, Fanout: c.Fanout,
+					Children: []*Plan{scan(in.u), scan(in.v)},
+					Out:      Relation{Name: "W", Tuples: outTuples, Width: in.u.Width}})
+			}
+			table := engine.AggRegionFor("A", groups)
+			for _, c := range aggs {
+				out := Relation{Name: "A", Tuples: table.N, Width: table.W}
+				if c.Algorithm == SortAggregate {
+					out = Relation{Name: "G", Tuples: groups, Width: in.u.Width, Sorted: true}
+				}
+				cands = append(cands, c)
+				trees = append(trees, &Plan{Kind: OpAggregate, Algorithm: c.Algorithm, Groups: groups,
+					Children: []*Plan{scan(in.u)}, Out: out})
+			}
+			for _, c := range dists {
+				cands = append(cands, c)
+				trees = append(trees, &Plan{Kind: OpDistinct, Algorithm: c.Algorithm, Groups: groups,
+					Children: []*Plan{scan(in.u)},
+					Out:      Relation{Name: "D", Tuples: groups, Width: in.u.Width, Sorted: c.Algorithm == SortDistinct}})
+			}
+			want, err := Rescore(h, trees)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range cands {
+				mem := c.Compiled.MemoryTimeNS(h)
+				if math.Float64bits(c.CPUNS) != math.Float64bits(want[i].CPUNS) ||
+					math.Float64bits(mem) != math.Float64bits(want[i].MemNS) {
+					t.Errorf("%s, %s over %v: planner (mem %v, cpu %v) != rescored plan (mem %v, cpu %v)",
+						h.Name, c.Algorithm, in.u, mem, c.CPUNS, want[i].MemNS, want[i].CPUNS)
+				}
+			}
 		}
 	}
 }

@@ -66,24 +66,6 @@ const (
 	SortDistinct        Algorithm = "sort-distinct"
 )
 
-// code returns the compact signature code of a join algorithm.
-func code(a Algorithm, fanout int64) string {
-	switch a {
-	case NestedLoopJoin:
-		return "nlj"
-	case MergeJoin:
-		return "mj"
-	case SortMergeJoin:
-		return "smj"
-	case HashJoin:
-		return "hj"
-	case PartitionedHashJoin:
-		return fmt.Sprintf("phj%d", fanout)
-	default:
-		return string(a)
-	}
-}
-
 // CPUCosts are the per-tuple T_cpu constants per algorithm step
 // (Eq. 6.1's hardware-independent component).
 type CPUCosts struct {

@@ -5,10 +5,8 @@ import (
 	"sort"
 
 	"repro/internal/costir"
-	"repro/internal/engine"
 	"repro/internal/hardware"
 	"repro/internal/pattern"
-	"repro/internal/region"
 )
 
 // Pricing is phase 2 of the optimizer and the consumer the paper built
@@ -36,16 +34,6 @@ type Candidate struct {
 	// CPUNS is the estimated pure CPU time (Eq. 6.1's T_cpu),
 	// hardware-profile-independent by the paper's calibration model.
 	CPUNS float64
-}
-
-// compile compiles the candidate's pattern into its IR program.
-func (c *Candidate) compile() error {
-	prog, err := costir.Compile(c.Pattern)
-	if err != nil {
-		return fmt.Errorf("queryplan: compiling %s: %w", c.Algorithm, err)
-	}
-	c.Compiled = prog
-	return nil
 }
 
 // on prices the compiled candidate on one hierarchy.
@@ -199,69 +187,46 @@ func NewPlanner(h *hardware.Hierarchy) (*Planner, error) {
 	return &Planner{hier: h, prune: h.MinCapacity()}, nil
 }
 
-// compiled compiles every candidate's pattern once.
-func compiled(cands []Candidate) ([]Candidate, error) {
-	for i := range cands {
-		if err := cands[i].compile(); err != nil {
-			return nil, err
+// candidates lowers each one-operator plan over base relations and
+// compiles its pattern once.
+func (pl *Planner) candidates(plans []*Plan) ([]Candidate, error) {
+	cands := make([]Candidate, len(plans))
+	for i, p := range plans {
+		pat, cpuNS, err := p.Lower(DefaultCPU(), pl.prune)
+		if err != nil {
+			return nil, fmt.Errorf("queryplan: lowering %s: %w", p.Algorithm, err)
 		}
+		prog, err := costir.Compile(pat)
+		if err != nil {
+			return nil, fmt.Errorf("queryplan: compiling %s: %w", p.Algorithm, err)
+		}
+		cands[i] = Candidate{Algorithm: p.Algorithm, Pattern: pat, Compiled: prog, Fanout: p.Fanout, CPUNS: cpuNS}
 	}
 	return cands, nil
 }
+
+// scanOf is the unfiltered scan of a base relation.
+func scanOf(r Relation) *Plan { return &Plan{Kind: OpScan, Rel: r, Filter: 1, Out: r} }
 
 // JoinCandidates enumerates the physical alternatives of an equi-join
 // U ⋈ V with the given estimated output cardinality, compiling each
 // candidate's access pattern exactly once. Cost nothing yet: pass the
 // result to ScoreOn for each hardware profile of interest.
 func (pl *Planner) JoinCandidates(u, v Relation, outTuples int64) ([]Candidate, error) {
-	cpu := DefaultCPU()
-	ur, vr := u.Region(), v.Region()
-	out := region.New("W", outTuples, u.Width)
-	nU, nV, nOut := float64(u.Tuples), float64(v.Tuples), float64(outTuples)
-
-	// Nested loop: always applicable.
-	cands := []Candidate{{Algorithm: NestedLoopJoin, Pattern: engine.NestedLoopJoinPattern(ur, vr, out),
-		CPUNS: cpu.Compare*nU*nV + cpu.Move*nOut}}
-
-	// Merge join: directly if both sorted, else behind explicit sorts.
-	if u.Sorted && v.Sorted {
-		cands = append(cands, Candidate{Algorithm: MergeJoin, Pattern: engine.MergeJoinPattern(ur, vr, out),
-			CPUNS: cpu.Compare*(nU+nV) + cpu.Move*nOut})
-	} else {
-		seq := pattern.Seq{}
-		var cpuNS float64
-		if !u.Sorted {
-			seq = append(seq, engine.QuickSortPattern(ur, pl.prune))
-			cpuNS += cpu.sortNS(nU)
-		}
-		if !v.Sorted {
-			seq = append(seq, engine.QuickSortPattern(vr, pl.prune))
-			cpuNS += cpu.sortNS(nV)
-		}
-		seq = append(seq, engine.MergeJoinPattern(ur, vr, out))
-		cpuNS += cpu.Compare*(nU+nV) + cpu.Move*nOut
-		cands = append(cands, Candidate{Algorithm: SortMergeJoin, Pattern: seq, CPUNS: cpuNS})
+	out := Relation{Name: "W", Tuples: outTuples, Width: u.Width}
+	join := func(alg Algorithm, fanout int64) *Plan {
+		return &Plan{Kind: OpJoin, Algorithm: alg, Fanout: fanout,
+			Children: []*Plan{scanOf(u), scanOf(v)}, Out: out}
 	}
-
-	// Hash join (build on the smaller input).
-	build, probe := vr, ur
-	if u.Tuples < v.Tuples {
-		build, probe = ur, vr
-	}
-	cands = append(cands, Candidate{Algorithm: HashJoin,
-		Pattern: engine.HashJoinPattern(probe, build, engine.HashRegionFor("H", build.N), out),
-		CPUNS:   cpu.Hash*(nU+nV) + cpu.Move*nOut})
-
-	// Partitioned hash join over candidate fan-outs.
+	// Nested loop is always applicable; the merge join sorts whichever
+	// input is not key-ordered.
+	plans := []*Plan{join(NestedLoopJoin, 0), join(mergeAlgorithm(u.Sorted, v.Sorted), 0), join(HashJoin, 0)}
 	for _, m := range DefaultFanouts() {
-		if m*8 > u.Tuples || m*8 > v.Tuples {
-			continue // degenerate clusters
+		if partitionable(m, u.Tuples, v.Tuples) {
+			plans = append(plans, join(PartitionedHashJoin, m))
 		}
-		cands = append(cands, Candidate{Algorithm: PartitionedHashJoin,
-			Pattern: engine.PartitionedHashJoinPattern(ur, vr, out, m), Fanout: m,
-			CPUNS: cpu.Partition*(nU+nV) + cpu.Hash*(nU+nV) + cpu.Move*nOut})
 	}
-	return compiled(cands)
+	return pl.candidates(plans)
 }
 
 // JoinPlans enumerates and costs the physical alternatives of an
@@ -276,34 +241,16 @@ func (pl *Planner) JoinPlans(u, v Relation, outTuples int64) ([]CostedPlan, erro
 }
 
 // AggregateCandidates enumerates hash- vs sort-based grouping of u
-// into `groups` result groups, compiling each pattern once.
+// into `groups` result groups, compiling each pattern once. Sort-based
+// grouping sorts u only if it is not already key-ordered.
 func (pl *Planner) AggregateCandidates(u Relation, groups int64) ([]Candidate, error) {
-	cpu := DefaultCPU()
-	ur := u.Region()
-	n := float64(u.Tuples)
-	out := region.New("G", groups, u.Width)
-	return compiled([]Candidate{
-		{Algorithm: HashAggregate, Pattern: engine.HashAggregatePattern(ur, engine.AggRegionFor("A", groups)),
-			CPUNS: cpu.Hash * n},
-		{Algorithm: SortAggregate, Pattern: pattern.Seq{
-			engine.QuickSortPattern(ur, pl.prune),
-			pattern.Conc{pattern.STrav{R: ur}, pattern.STrav{R: out}},
-		}, CPUNS: cpu.sortNS(n) + cpu.Compare*n},
-	})
+	return pl.candidates(aggVariants([]*Plan{scanOf(u)}, OpAggregate, groups))
 }
 
 // DistinctCandidates enumerates hash- vs sort-based duplicate
 // elimination with the given estimated distinct count, compiling each
-// pattern once.
+// pattern once. Sort-based elimination sorts u only if it is not
+// already key-ordered.
 func (pl *Planner) DistinctCandidates(u Relation, distinct int64) ([]Candidate, error) {
-	cpu := DefaultCPU()
-	ur := u.Region()
-	n := float64(u.Tuples)
-	out := region.New("D", distinct, u.Width)
-	return compiled([]Candidate{
-		{Algorithm: HashDistinct, Pattern: engine.HashDedupPattern(ur, engine.HashRegionFor("H", u.Tuples), out),
-			CPUNS: cpu.Hash * n},
-		{Algorithm: SortDistinct, Pattern: engine.SortDedupPattern(ur, out, pl.prune),
-			CPUNS: cpu.sortNS(n) + cpu.Compare*n},
-	})
+	return pl.candidates(aggVariants([]*Plan{scanOf(u)}, OpDistinct, distinct))
 }

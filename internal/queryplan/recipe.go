@@ -3,8 +3,6 @@ package queryplan
 import (
 	"fmt"
 	"math/bits"
-
-	"repro/internal/engine"
 )
 
 // Recipe is the relabelable skeleton of one physical plan: the
@@ -67,11 +65,12 @@ func newRecipeNode(p *Plan, idx map[string]int, inv []int) (*Recipe, error) {
 // Bind rebuilds the physical plan tree for q, a query of the recipe's
 // shape: scan leaves resolve through fp.Perm, and every output
 // estimate (cardinality, width, sortedness) is recomputed bottom-up
-// under q's parameters exactly as the DP search's materialization
-// computes them — including the subset-mask intermediate names the IR
-// canonicalizer dedups regions by — so binding a recipe back to the
-// query it was extracted from reproduces the searched plan
-// node-for-node, and its lowered pattern prices bit-identically.
+// under q's parameters from the operator table (ops.go), exactly as
+// the DP search's materialization computes them — including the
+// subset-mask intermediate names the IR canonicalizer dedups regions
+// by — so binding a recipe back to the query it was extracted from
+// reproduces the searched plan node-for-node, and its lowered pattern
+// prices bit-identically.
 func (r *Recipe) Bind(q Query, fp Fingerprint) (*Plan, error) {
 	if len(fp.Perm) != len(q.Relations) {
 		return nil, fmt.Errorf("queryplan: fingerprint covers %d relations, query has %d", len(fp.Perm), len(q.Relations))
@@ -118,96 +117,45 @@ func (b *binder) bind(r *Recipe) (*Plan, uint32, error) {
 		if lm&rm != 0 {
 			return nil, 0, fmt.Errorf("queryplan: recipe joins overlapping relation sets")
 		}
-		var sorted bool
-		switch r.Algorithm {
-		case MergeJoin, SortMergeJoin:
-			sorted = true
-		case NestedLoopJoin:
-			// The outer relation's order survives a nested-loop join.
-			sorted = left.Out.Sorted
-		case HashJoin, PartitionedHashJoin:
-			sorted = false
-		default:
-			return nil, 0, fmt.Errorf("queryplan: recipe with unknown join algorithm %q", r.Algorithm)
+		i, err := operatorOf(OpJoin, r.Algorithm)
+		if err != nil {
+			return nil, 0, err
 		}
 		mask := lm | rm
-		outN, outW := joinGeometry(b.q, left.Out, right.Out, lm, rm)
+		outN, outW := b.q.joinEstimate(left.Out.Tuples, left.Out.Width, right.Out.Tuples, right.Out.Width, lm, rm)
 		return &Plan{
 			Kind: OpJoin, Algorithm: r.Algorithm, Fanout: r.Fanout,
 			Children: []*Plan{left, right},
 			Out: Relation{
-				// The subset-mask name the DP search materializes with
-				// (collision-free within any tree; see materializeNode).
-				Name:   fmt.Sprintf("T%d.%x", bits.OnesCount32(mask)-1, mask),
-				Tuples: outN, Width: outW, Sorted: sorted,
+				Name:   subsetName(mask),
+				Tuples: outN, Width: outW, Sorted: operators[i].outSorted(left.Out.Sorted),
 			},
 		}, mask, nil
 
-	case OpAggregate, OpDistinct:
+	case OpAggregate, OpDistinct, OpSort:
 		if len(r.Children) != 1 {
-			return nil, 0, fmt.Errorf("queryplan: recipe grouping with %d children", len(r.Children))
+			return nil, 0, fmt.Errorf("queryplan: recipe unary operator with %d children", len(r.Children))
 		}
 		child, cm, err := b.bind(r.Children[0])
 		if err != nil {
 			return nil, 0, err
 		}
-		groups := b.q.GroupBy
-		outName := "A"
-		if r.Kind == OpDistinct {
+		var groups int64
+		switch r.Kind {
+		case OpAggregate:
+			groups = b.q.GroupBy
+		case OpDistinct:
 			groups = b.q.Distinct
-			outName = "D"
 		}
-		if groups <= 0 {
+		if r.Kind != OpSort && groups <= 0 {
 			return nil, 0, fmt.Errorf("queryplan: recipe has a grouping operator the query does not ask for")
 		}
-		var out Relation
-		switch r.Algorithm {
-		case HashAggregate:
-			// The hash-aggregate's result is its aggregation table.
-			agg := engine.AggRegionFor(outName, groups)
-			out = Relation{Name: outName, Tuples: agg.N, Width: agg.W}
-		case HashDistinct:
-			out = Relation{Name: outName, Tuples: groups, Width: child.Out.Width}
-		case SortAggregate:
-			out = Relation{Name: "G", Tuples: groups, Width: child.Out.Width, Sorted: true}
-		case SortDistinct:
-			out = Relation{Name: outName, Tuples: groups, Width: child.Out.Width, Sorted: true}
-		default:
-			return nil, 0, fmt.Errorf("queryplan: recipe with unknown grouping algorithm %q", r.Algorithm)
-		}
-		return &Plan{Kind: r.Kind, Algorithm: r.Algorithm, Groups: groups,
-			Children: []*Plan{child}, Out: out}, cm, nil
-
-	case OpSort:
-		if len(r.Children) != 1 {
-			return nil, 0, fmt.Errorf("queryplan: recipe sort with %d children", len(r.Children))
-		}
-		child, cm, err := b.bind(r.Children[0])
+		i, err := operatorOf(r.Kind, r.Algorithm)
 		if err != nil {
 			return nil, 0, err
 		}
-		out := child.Out
-		out.Sorted = true
-		return &Plan{Kind: OpSort, Algorithm: QuickSort, Children: []*Plan{child}, Out: out}, cm, nil
+		return &Plan{Kind: r.Kind, Algorithm: r.Algorithm, Groups: groups,
+			Children: []*Plan{child}, Out: operators[i].unaryOut(child.Out, groups)}, cm, nil
 	}
 	return nil, 0, fmt.Errorf("queryplan: unknown recipe operator kind %d", r.Kind)
-}
-
-// joinGeometry estimates the output of joining two bound subtrees —
-// the recipe-side twin of the DP search's pairGeometry: cardinalities
-// multiplied and scaled by every edge bridging the two relation
-// subsets, widths concatenated minus the shared key.
-func joinGeometry(q Query, left, right Relation, lm, rm uint32) (outN, outW int64) {
-	card := float64(left.Tuples) * float64(right.Tuples)
-	for _, e := range q.Joins {
-		l, r := uint32(1)<<e.Left, uint32(1)<<e.Right
-		if (l&lm != 0 && r&rm != 0) || (l&rm != 0 && r&lm != 0) {
-			card *= e.Selectivity
-		}
-	}
-	width := left.Width + right.Width - engine.KeyWidth
-	if width < engine.KeyWidth {
-		width = engine.KeyWidth
-	}
-	return clampTuples(card), width
 }

@@ -53,7 +53,7 @@ func randGridPoints(rng *workload.RNG) []Point {
 // TestSweepMatchesPointLoop pins the sweep path to the point-at-a-time
 // loop, bit for bit: predicted times against a per-point
 // cost.Model.Evaluate (fresh compile per point), measured times
-// against a per-point cachemodel.Model.Price, at several parallelism
+// against a per-point fresh cachemodel Pricer, at several parallelism
 // levels including repeated warm runs.
 func TestSweepMatchesPointLoop(t *testing.T) {
 	rng := workload.NewRNG(20260808)
@@ -73,11 +73,11 @@ func TestSweepMatchesPointLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantPred[i] = res.MemoryTimeNS()
-			priced, err := ana.Price(pt.Pattern)
+			prep, err := cachemodel.Prepare(pt.Pattern)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantMeas[i] = priced.MemoryTimeNS()
+			wantMeas[i] = ana.NewPricer().Price(prep).MemoryTimeNS()
 		}
 		s, err := grid.On(h)
 		if err != nil {
