@@ -8,14 +8,20 @@
 // smoke jobs and uploads the results as artifacts; the first snapshots
 // are committed at the repo root.
 //
-//	go test -run '^$' -bench 'BenchmarkEvaluate' -benchmem . | go run ./cmd/benchjson > BENCH_eval.json
+//	go test -run '^$' -bench 'BenchmarkEvaluate$|BenchmarkRescore$' -benchmem . | go run ./cmd/benchjson > BENCH_eval.json
 //	go test -run '^$' -bench 'BenchmarkPlanSearch' -benchmem . | go run ./cmd/benchjson > BENCH_plan.json
 //
 // With -check, the acceptance bar of the cost IR is enforced: every
 // /ir/ benchmark must report 0 allocs/op, and the hash-join pattern —
 // the representative compound pattern — must show at least a 5x
 // speedup over the tree walker (the committed snapshot records ~10x,
-// leaving headroom for noisy CI runners). With -checkplan, the plan
+// leaving headroom for noisy CI runners). -check also holds the
+// serving revalidation benchmark (Rescore/join10-star) under fixed
+// allocs/op and B/op ceilings: counts that do not depend on the
+// machine, so a box slower or faster than CI's checks them the same.
+// With -evalsnapshot <file>, its ns/op is additionally compared
+// against the committed BENCH_eval.json: past 1.25x the snapshot is a
+// regression. With -checkplan, the plan
 // search's bar is enforced instead: every reference scenario must carry
 // a cold-vs-warm DP speedup above 1x. With
 // -snapshot <file>, the warm DP time of the reference scenario
@@ -51,6 +57,19 @@ import (
 const (
 	checkPattern    = "hashjoin"
 	checkMinSpeedup = 5.0
+)
+
+// Work ceilings enforced by -check on the revalidation benchmark. It
+// compiles and evaluates five recipes per op, sequentially, so its
+// allocations are the compiler's plus whatever the evaluator pool
+// misses: 89,887 allocs and 22.05 MB at -cpu 1, up to ~180 allocs and
+// ~0.5 MB more at -cpu 2 or 4, where an evaluator is sometimes checked
+// out on another P's empty pool. Evaluator scratch that grew with the
+// region count (24.3 MB/op) fails the byte ceiling.
+const (
+	rescoreBench     = "Rescore/join10-star"
+	rescoreMaxAllocs = 90_500
+	rescoreMaxBytes  = 23_000_000
 )
 
 // Acceptance requirements enforced by -checkplan: the scenarios that
@@ -132,6 +151,9 @@ func main() {
 	snapshot := flag.String("snapshot", "",
 		"committed BENCH_plan.json to compare against; fail if the warm DP time of "+
 			snapshotScenario+" regresses past "+fmt.Sprintf("%.2f", snapshotTolerance)+"x")
+	evalSnapshot := flag.String("evalsnapshot", "",
+		"committed BENCH_eval.json to compare against; fail if "+rescoreBench+
+			" regresses past "+fmt.Sprintf("%.2f", snapshotTolerance)+"x")
 	checkSweep := flag.Bool("checksweep", false,
 		"fail unless the warm grid sweep beats the point-at-a-time loop by ≥ "+
 			fmt.Sprintf("%.0f", checkSweepMinSpeedup)+"x with 0 allocs/op")
@@ -176,6 +198,12 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	if *evalSnapshot != "" {
+		if err := rep.checkEvalSnapshot(*evalSnapshot); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+	}
 	if *snapshot != "" {
 		if err := rep.checkSnapshot(*snapshot); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -191,6 +219,16 @@ func (rep *Report) checkAcceptance() error {
 		if strings.Contains(b.Name, "/ir/") && b.AllocsPerOp != 0 {
 			return fmt.Errorf("%s allocates %.1f objects/op, want 0", b.Name, b.AllocsPerOp)
 		}
+	}
+	rs, ok := rep.find(rescoreBench)
+	if !ok {
+		return fmt.Errorf("no %s benchmark in the output", rescoreBench)
+	}
+	if rs.AllocsPerOp > rescoreMaxAllocs {
+		return fmt.Errorf("%s allocates %.0f objects/op, ceiling %d", rescoreBench, rs.AllocsPerOp, rescoreMaxAllocs)
+	}
+	if rs.BytesPerOp > rescoreMaxBytes {
+		return fmt.Errorf("%s allocates %.0f B/op, ceiling %d", rescoreBench, rs.BytesPerOp, rescoreMaxBytes)
 	}
 	for _, s := range rep.Speedups {
 		if s.Pattern == checkPattern {
@@ -245,16 +283,57 @@ func (rep *Report) checkSweepAcceptance() error {
 	return nil
 }
 
+// readReport loads a committed BENCH_*.json snapshot.
+func readReport(path string) (*Report, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("reading snapshot: %w", err)
+	}
+	var rep Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return nil, fmt.Errorf("parsing snapshot %s: %w", path, err)
+	}
+	return &rep, nil
+}
+
+// find returns the benchmark with the given name.
+func (rep *Report) find(name string) (Benchmark, bool) {
+	for _, b := range rep.Benchmarks {
+		if b.Name == name {
+			return b, true
+		}
+	}
+	return Benchmark{}, false
+}
+
+// checkEvalSnapshot compares the revalidation benchmark's time against
+// a committed BENCH_eval.json and fails past the tolerance factor.
+func (rep *Report) checkEvalSnapshot(path string) error {
+	old, err := readReport(path)
+	if err != nil {
+		return err
+	}
+	was, ok := old.find(rescoreBench)
+	if !ok || was.NsPerOp <= 0 {
+		return fmt.Errorf("snapshot %s has no time for %s", path, rescoreBench)
+	}
+	now, ok := rep.find(rescoreBench)
+	if !ok {
+		return fmt.Errorf("no %s benchmark in the output", rescoreBench)
+	}
+	if now.NsPerOp > was.NsPerOp*snapshotTolerance {
+		return fmt.Errorf("%s regressed: %.0f ns/op vs %.0f ns/op in the snapshot (allowed %.2fx)",
+			rescoreBench, now.NsPerOp, was.NsPerOp, snapshotTolerance)
+	}
+	return nil
+}
+
 // checkSnapshot compares the reference scenario's warm DP time against
 // a committed BENCH_plan.json and fails past the tolerance factor.
 func (rep *Report) checkSnapshot(path string) error {
-	data, err := os.ReadFile(path)
+	old, err := readReport(path)
 	if err != nil {
-		return fmt.Errorf("reading snapshot: %w", err)
-	}
-	var old Report
-	if err := json.Unmarshal(data, &old); err != nil {
-		return fmt.Errorf("parsing snapshot %s: %w", path, err)
+		return err
 	}
 	var oldNs float64
 	for _, s := range old.PlanSearch {

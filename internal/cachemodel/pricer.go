@@ -58,6 +58,7 @@ func (m *Model) NewPricer() *Pricer {
 	return &Pricer{m: m, az: analyzer{
 		memo:     make(map[memoKey]float64),
 		profMemo: make(map[profMemoKey]atomProfile),
+		memoCap:  memoCap,
 	}}
 }
 
@@ -89,14 +90,16 @@ type stackEntry struct {
 	lines float64
 }
 
-// analyzer holds the scratch state of one level analysis. Its zero
-// value is ready to use (allocating as it goes, without memos); a
-// Pricer's analyzer persists, so the buffers and the integration memo
-// reach a steady state.
+// analyzer holds the scratch state of one level analysis. A Pricer's
+// analyzer persists, so the buffers and the integration memo reach a
+// steady state. The zero value memoizes nothing (memoCap 0): every
+// lookup misses and nothing is stored, which makes it the unmemoized
+// reference the tests check the Pricer against.
 type analyzer struct {
 	level    int32 // hierarchy level index (memo key component)
 	memo     map[memoKey]float64
 	profMemo map[profMemoKey]atomProfile
+	memoCap  int // entries each memo may hold
 	profiles []atomProfile
 	peers    []peer
 	masses   []mass
@@ -109,20 +112,17 @@ type profMemoKey struct {
 	pk    profileKey
 }
 
-// profileFor derives one atom's per-level profile, through the profile
-// memo when one is attached. Keys carry every profileAtom input (level
-// geometry via the level index, atom parameters via the value key), so
-// a hit returns the bit-identical profile a fresh derivation would.
+// profileFor derives one atom's per-level profile through the profile
+// memo. Keys carry every profileAtom input (level geometry via the
+// level index, atom parameters via the value key), so a hit returns
+// the bit-identical profile a fresh derivation would.
 func (az *analyzer) profileFor(g geom, a *atom) atomProfile {
-	if az.profMemo == nil {
-		return profileAtom(g, a.p)
-	}
 	k := profMemoKey{level: az.level, pk: a.pk}
 	if pr, ok := az.profMemo[k]; ok {
 		return pr
 	}
 	pr := profileAtom(g, a.p)
-	if len(az.profMemo) < memoCap {
+	if len(az.profMemo) < az.memoCap {
 		az.profMemo[k] = pr
 	}
 	return pr
@@ -133,8 +133,9 @@ func (az *analyzer) profileFor(g geom, a *atom) atomProfile {
 // the memo.
 const memoMaxPeers = 3
 
-// memoCap bounds the memo size; a full validation grid needs a few
-// hundred entries, so the cap only guards against degenerate inputs.
+// memoCap bounds a Pricer's memo sizes; a full validation grid needs a
+// few hundred entries, so the cap only guards against degenerate
+// inputs.
 const memoCap = 1 << 16
 
 // peerKey is one ⊙-sibling's contribution to a memo key.
@@ -159,14 +160,14 @@ type memoKey struct {
 	peers   [memoMaxPeers]peerKey
 }
 
-// missFor integrates one distance mass, through the memo when one is
-// attached. Cold masses are unconditional misses; oversized peer sets
-// and NaN inputs (map keys would never match again) bypass the memo.
+// missFor integrates one distance mass through the memo. Cold masses
+// are unconditional misses; oversized peer sets and NaN inputs (map
+// keys would never match again) bypass the memo.
 func (az *analyzer) missFor(g geom, ms mass, ownRate float64, peers []peer) float64 {
 	if ms.kind == dCold {
 		return 1
 	}
-	if az.memo == nil || len(peers) > memoMaxPeers {
+	if len(peers) > memoMaxPeers {
 		return expectedMissProb(g, ms, ownRate, peers)
 	}
 	k := memoKey{
@@ -183,7 +184,7 @@ func (az *analyzer) missFor(g geom, ms mass, ownRate float64, peers []peer) floa
 		return v
 	}
 	v := expectedMissProb(g, ms, ownRate, peers)
-	if len(az.memo) < memoCap {
+	if len(az.memo) < az.memoCap {
 		az.memo[k] = v
 	}
 	return v

@@ -50,9 +50,10 @@ func randComposite(rng *workload.RNG, h *hardware.Hierarchy, depth int) pattern.
 	}
 }
 
-// priceOnce prices p through a fresh Prepare and a zero-value,
-// unmemoized analyzer: the one-shot reference the memoizing Pricer is
-// checked against.
+// priceOnce prices p through a fresh Prepare and a zero-value analyzer,
+// whose memos hold nothing, so every profile and integral is computed
+// afresh: the one-shot reference the memoizing Pricer is checked
+// against.
 func priceOnce(m *Model, p pattern.Pattern) (*Result, error) {
 	prep, err := Prepare(p)
 	if err != nil {

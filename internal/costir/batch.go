@@ -29,11 +29,11 @@ func (p *Program) EvaluateBatch(hs []*hardware.Hierarchy, dst []Misses) []Misses
 	if maxL == 0 {
 		return dst
 	}
-	ev := p.getEvaluator(maxL)
+	ev := getEvaluator(p, maxL)
 	for _, h := range hs {
 		ev.run(p, h.Levels)
 		dst = append(dst, ev.miss[:len(h.Levels)]...)
 	}
-	p.pool.put(ev)
+	evalPool.Put(ev)
 	return dst
 }

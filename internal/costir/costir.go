@@ -23,7 +23,7 @@
 //     identity — name, item count, item width, and parent chain — not
 //     by pointer. Structurally identical *region.Region values that
 //     were allocated separately fold into one dense index, so cache
-//     state becomes a preallocated []float64 instead of a
+//     state becomes a compact row sorted by that index instead of a
 //     map[*region.Region]float64, and a ⊕-fold over two copies of the
 //     "same" region no longer maintains divergent states.
 //   - Flattening: the pattern tree becomes one linear instruction
@@ -34,7 +34,7 @@
 // A compiled Program is immutable and safe for concurrent use; its
 // Evaluate method computes every cache level in a single pass over the
 // instruction stream and performs no heap allocation in steady state
-// (scratch buffers are pooled per program). internal/cost keeps the
+// (scratch buffers come from one process-wide pool). internal/cost keeps the
 // tree walker as the reference oracle; the property tests there verify
 // the two evaluators agree on randomized compound patterns.
 package costir
@@ -125,17 +125,15 @@ func (ri RegionInfo) Size() int64 { return ri.N * ri.W }
 type Program struct {
 	canonical string
 	regions   []RegionInfo
-	// pre/end number the region forest in preorder: region i's subtree
-	// is the interval [pre[i], end[i]) (see numberForest).
-	pre, end  []int32
+	// ents holds one compact-row template per region: its preorder
+	// interval (see numberForest), name rank and size (see span).
+	ents      []span
 	instrs    []instr
 	foot      []footInstr
 	nSlots    int // total ⊙ children (footprint slots)
 	maxDepth  int // deepest ⊙ nesting
 	footDepth int // operand-stack bound of the footprint program
 	numBasics int
-
-	pool evalPool
 }
 
 // Canonical returns the canonical form of the compiled pattern: a
@@ -208,12 +206,10 @@ func (cz *canonicalizer) compile() *Program {
 		foot:    make([]footInstr, 0, cz.nFoot),
 	}
 	c.emit(cz.root)
-	pre, end := numberForest(c.regions)
 	return &Program{
 		canonical: cz.root.render(),
 		regions:   c.regions,
-		pre:       pre,
-		end:       end,
+		ents:      spans(c.regions),
 		instrs:    c.instrs,
 		foot:      c.foot,
 		nSlots:    int(c.nSlots),
@@ -223,37 +219,60 @@ func (cz *canonicalizer) compile() *Program {
 	}
 }
 
-// numberForest numbers the region forest in preorder. Region i's
-// subtree occupies the preorder interval [pre[i], end[i]), so x is an
-// ancestor-or-self of y exactly when pre[x] <= pre[y] < end[x]. The
-// table lists every parent before its children (regIndex interns the
-// chain root-first), which lets both passes run without recursion:
-// subtree sizes accumulate bottom-up in reverse index order, then each
+// spans builds the compact-row template of every region: index,
+// preorder interval (see numberForest), name rank and size in bytes.
+// Name ranks number the distinct names in string order.
+func spans(regs []RegionInfo) []span {
+	sp := make([]span, len(regs))
+	numberForest(regs, sp)
+	byName := make([]int32, len(regs))
+	for i := range byName {
+		byName[i] = int32(i)
+	}
+	slices.SortFunc(byName, func(a, b int32) int { return strings.Compare(regs[a].Name, regs[b].Name) })
+	var rank int32
+	for i, r := range byName {
+		if i > 0 && regs[r].Name != regs[byName[i-1]].Name {
+			rank++
+		}
+		sp[r].rank = rank
+	}
+	for i := range sp {
+		sp[i].reg = int32(i)
+		sp[i].size = float64(regs[i].Size())
+	}
+	return sp
+}
+
+// numberForest numbers the region forest in preorder, setting pre and
+// end of sp. Region i's subtree occupies the preorder interval
+// [pre, end), so x is an ancestor-or-self of y exactly when
+// x.pre <= y.pre < x.end. The table lists every parent before its
+// children (regIndex interns the chain root-first), which lets both
+// passes run without recursion: subtree sizes accumulate bottom-up in
+// reverse index order (held in pre until it is assigned), then each
 // region takes the next free position inside its parent's interval.
-func numberForest(regs []RegionInfo) (pre, end []int32) {
-	pre = make([]int32, len(regs))
-	end = make([]int32, len(regs))
-	size := make([]int32, len(regs))
+func numberForest(regs []RegionInfo, sp []span) {
 	for i := len(regs) - 1; i >= 0; i-- {
-		size[i]++
+		sp[i].pre++
 		if par := regs[i].Parent; par >= 0 {
-			size[par] += size[i]
+			sp[par].pre += sp[i].pre
 		}
 	}
-	// end[x] serves as x's cursor — the first unassigned position
+	// end of x serves as x's cursor — the first unassigned position
 	// inside its interval — until every child of x is numbered, after
-	// which it has advanced to pre[x] + size[x], x's true end.
+	// which it has advanced to x's true end.
 	var roots int32
 	for i := range regs {
 		at := &roots
 		if par := regs[i].Parent; par >= 0 {
-			at = &end[par]
+			at = &sp[par].end
 		}
-		pre[i] = *at
-		*at += size[i]
-		end[i] = pre[i] + 1
+		size := sp[i].pre
+		sp[i].pre = *at
+		*at += size
+		sp[i].end = sp[i].pre + 1
 	}
-	return pre, end
 }
 
 // cnode is one node of the canonicalized pattern tree: basic patterns

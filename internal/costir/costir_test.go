@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/hardware"
 	"repro/internal/pattern"
 	"repro/internal/region"
@@ -238,6 +239,43 @@ func TestEvaluateZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("MemoryTimeNS allocates %.1f objects/op in steady state, want 0", allocs)
+	}
+}
+
+// Evaluators come from one process-wide pool and their scratch follows
+// the resident rows and the ⊙ nesting, not the program: once the pool
+// has evaluated a program, a freshly compiled program of the same shape
+// — every revalidated recipe, every DP step geometry — evaluates
+// without allocating.
+func TestEvaluateFreshProgramZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations and defeats sync.Pool reuse")
+	}
+	h := hardware.ModernX86()
+	n := int64(1 << 20)
+	p := pattern.Seq{
+		engine.PartitionedHashJoinPattern(region.New("U", n, 16), region.New("V", n, 16), region.New("W", n, 16), 256),
+		engine.QuickSortPattern(region.New("S", n, 16), 32<<10),
+	}
+	const runs = 20
+	progs := make([]*Program, runs+2) // AllocsPerRun adds one warm-up run
+	for i := range progs {
+		progs[i] = mustCompile(t, p)
+	}
+	dst := make([]Misses, 0, len(h.Levels))
+	want := progs[0].Evaluate(h, nil) // warm the pool
+	next := 1
+	allocs := testing.AllocsPerRun(runs, func() {
+		dst = progs[next].Evaluate(h, dst)
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("evaluating a fresh program allocates %.1f objects/op with the pool warm, want 0", allocs)
+	}
+	for i := range want {
+		if dst[i] != want[i] {
+			t.Errorf("level %d: fresh program gives %+v, first program %+v", i, dst[i], want[i])
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 package costir
 
 import (
+	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/costmath"
@@ -23,20 +23,20 @@ import (
 //     in footprint proportion, evaluate every child from the same
 //     entry state, and max-merge the children's result states.
 //
-// The cache state of one level is a dense []float64 over the program's
-// deduplicated region table (rho per region; 0 = not resident), so the
-// pointer-keyed maps of the tree walker become flat rows. Each row
-// additionally carries a sorted list of its non-zero indices: state
-// merges, snapshots and restores walk only the resident entries (≤
-// maxStateEntries) instead of the whole region table, which keeps
-// evaluation near-linear in the instruction count even for plan-level
-// programs whose partitioned joins intern hundreds of sub-regions.
-// Iteration follows the lists in ascending index order — the same order
-// a dense scan would visit — so floating-point sums are bit-identical
-// to the reference walker's. All cache levels are computed in a single
-// pass over the instruction stream, and every scratch buffer lives in a
-// pooled evaluator, so steady-state evaluation performs no heap
-// allocation.
+// The cache state of one level is a compact row: the resident regions
+// only, sorted by region index, each entry carrying everything a merge
+// reads about its region inline — preorder interval, size in bytes,
+// name rank — beside its resident fraction and resident bytes. Rows
+// hold at most maxStateEntries entries after every bounded merge, so
+// state merges, snapshots and restores cost O(resident entries) with
+// sequential reads, however many regions the program interns.
+// Iteration follows the rows in ascending region-index order — the
+// order a dense scan over the region table would visit — so
+// floating-point sums are bit-identical to the reference walker's.
+// All cache levels are computed in a single pass over the instruction
+// stream, and every scratch buffer lives in an evaluator drawn from one
+// process-wide pool, so evaluation performs no heap allocation once
+// the pool has seen programs of the same shape.
 
 // Misses is the per-level pair (M^s, M^r) of expected sequential and
 // random misses, shared with internal/cost via internal/costmath.
@@ -48,6 +48,51 @@ type Misses = costmath.Misses
 // only ones that can change a later prediction.
 const maxStateEntries = 96
 
+// span is what a compact row needs to know about one region. The
+// compiler builds one per region (Program.ents), so a merge never
+// reads the region table.
+type span struct {
+	reg int32 // dense region index; rows are sorted by it
+	// pre/end is the region's preorder interval (see numberForest).
+	pre, end int32
+	// rank orders region names: a < b as strings exactly when
+	// rank(a) < rank(b). It breaks retention ties without comparing
+	// strings.
+	rank int32
+	size float64 // ‖R‖ in bytes
+}
+
+// entry is one resident region of a compact row.
+type entry struct {
+	span
+	rho float64 // resident fraction (0 < rho ≤ 1)
+	// key is the resident bytes rho·size, computed whenever rho is
+	// set: the retention key of boundRow and the term of every byte
+	// sum.
+	key float64
+}
+
+// related reports whether two regions overlap in memory: one is an
+// ancestor-or-self of the other. Preorder intervals of a forest nest or
+// are disjoint, so they are related exactly when they intersect; the
+// test compiles to conditional moves and one well-predicted branch.
+func (a *span) related(b *span) bool {
+	return max(a.pre, b.pre) < min(a.end, b.end)
+}
+
+// keepsBefore reports whether a ranks above b in the retention order:
+// more resident bytes, ties by name ascending, then index ascending —
+// the tree walker's boundState order made total.
+func keepsBefore(a, b *entry) bool {
+	if a.key != b.key {
+		return a.key > b.key
+	}
+	if a.rank != b.rank {
+		return a.rank < b.rank
+	}
+	return a.reg < b.reg
+}
+
 // Evaluate computes the expected misses of the compiled pattern per
 // level of h, on cold caches, appending one Misses per hierarchy level
 // to dst[:0] and returning it. Passing a dst with capacity
@@ -55,10 +100,10 @@ const maxStateEntries = 96
 // concurrent use on the same Program.
 func (p *Program) Evaluate(h *hardware.Hierarchy, dst []Misses) []Misses {
 	nL := len(h.Levels)
-	ev := p.getEvaluator(nL)
+	ev := getEvaluator(p, nL)
 	ev.run(p, h.Levels)
 	dst = append(dst[:0], ev.miss[:nL]...)
-	p.pool.put(ev)
+	evalPool.Put(ev)
 	return dst
 }
 
@@ -66,69 +111,47 @@ func (p *Program) Evaluate(h *hardware.Hierarchy, dst []Misses) []Misses {
 // per-level misses scored with the level miss latencies. It performs
 // no heap allocation in steady state.
 func (p *Program) MemoryTimeNS(h *hardware.Hierarchy) float64 {
-	ev := p.getEvaluator(len(h.Levels))
+	ev := getEvaluator(p, len(h.Levels))
 	ev.run(p, h.Levels)
 	var t float64
 	for i := range h.Levels {
 		t += ev.miss[i].Seq*h.Levels[i].SeqMissLatency + ev.miss[i].Rnd*h.Levels[i].RndMissLatency
 	}
-	p.pool.put(ev)
+	evalPool.Put(ev)
 	return t
 }
 
-// evalPool wraps sync.Pool so Program's zero value works.
-type evalPool struct{ p sync.Pool }
-
-func (ep *evalPool) get() *evaluator {
-	ev, _ := ep.p.Get().(*evaluator)
-	return ev
-}
-func (ep *evalPool) put(ev *evaluator) { ep.p.Put(ev) }
+// evalPool holds the evaluators of every program: their buffers grow
+// with the resident rows and the ⊙ nesting, not with a program's
+// region count, so one evaluator serves any program.
+var evalPool = sync.Pool{New: func() any { return new(evaluator) }}
 
 // frame is the scratch state of one active ⊙ group.
 type frame struct {
-	snap   []float64        // entry state, all levels (children start equal)
-	merged []float64        // pointwise max of children's result states
+	snap   [][]entry        // entry state per level (children start equal)
+	merged [][]entry        // per level: pointwise max of children's result states
 	saved  []costmath.Level // level params before cache division
-	// snapNZ / mergedNZ track the non-zero indices of snap and merged
-	// per level; snapNZ stays sorted, mergedNZ is sorted before use.
-	snapNZ   [][]int32
-	mergedNZ [][]int32
-	slot0    int32
-	n        int32
-	child    int32
+	slot0  int32
+	n      int32
+	child  int32
 }
 
-// evaluator holds every scratch buffer one evaluation needs. Buffer
-// sizes depend on the program (fixed) and the hierarchy's level count
-// (grow-only), so a pooled evaluator reaches a steady state with no
-// further allocation.
+// evaluator holds every scratch buffer one evaluation needs. Each
+// buffer keeps its role and only grows, so a pooled evaluator reaches a
+// steady state with no further allocation.
 type evaluator struct {
-	nL       int // level capacity buffers are sized for
-	state    []float64
-	stateNZ  [][]int32 // sorted non-zero indices of state, per level
+	nL       int       // level capacity buffers are sized for
+	state    [][]entry // live cache state per level
+	surv     []entry   // concMerge: entry-state survivors; boundRow: sort scratch
 	miss     []Misses
 	lp       []costmath.Level
 	frames   []frame
 	footVals []float64
 	footStk  []float64
-	bndIdx   []int32   // boundRow: candidate indices
-	key      []float64 // boundRow: resident bytes per region index
-	sorter   rowSorter
-	// Generation-stamped marks for concMerge's relatedness test:
-	// ancStamp[r] == gen marks r as ancestor-or-self of a merged
-	// region; mergedStamp[r] == gen marks r as merged. Stamping
-	// replaces per-call clearing.
-	ancStamp    []uint64
-	mergedStamp []uint64
-	gen         uint64
 }
 
-func (p *Program) getEvaluator(nL int) *evaluator {
-	ev := p.pool.get()
-	if ev == nil {
-		ev = &evaluator{}
-	}
+func getEvaluator(p *Program, nL int) *evaluator {
+	ev := evalPool.Get().(*evaluator)
 	ev.ensure(p, nL)
 	return ev
 }
@@ -137,10 +160,9 @@ func (ev *evaluator) ensure(p *Program, nL int) {
 	if nL > ev.nL {
 		ev.nL = nL
 	}
-	nR := len(p.regions)
 	capL := ev.nL
-	if need := capL * nR; len(ev.state) < need {
-		ev.state = make([]float64, need)
+	if len(ev.state) < capL {
+		ev.state = append(ev.state, make([][]entry, capL-len(ev.state))...)
 	}
 	if len(ev.miss) < capL {
 		ev.miss = make([]Misses, capL)
@@ -154,58 +176,22 @@ func (ev *evaluator) ensure(p *Program, nL int) {
 	if len(ev.footStk) < p.footDepth {
 		ev.footStk = make([]float64, p.footDepth)
 	}
-	if cap(ev.bndIdx) < nR {
-		ev.bndIdx = make([]int32, 0, nR)
-	}
-	if len(ev.key) < nR {
-		ev.key = make([]float64, nR)
-	}
-	if len(ev.ancStamp) < nR {
-		ev.ancStamp = make([]uint64, nR)
-		ev.mergedStamp = make([]uint64, nR)
-		ev.gen = 0
-	}
-	ev.stateNZ = ensureNZ(ev.stateNZ, capL, nR)
 	if len(ev.frames) < p.maxDepth {
 		ev.frames = append(ev.frames, make([]frame, p.maxDepth-len(ev.frames))...)
 	}
 	for i := range ev.frames {
 		f := &ev.frames[i]
-		if need := capL * nR; len(f.snap) < need {
-			f.snap = make([]float64, need)
-			f.merged = make([]float64, need)
-			// The freshly zeroed buffers make any stale non-zero lists
-			// wrong; reset them alongside.
-			for li := range f.snapNZ {
-				f.snapNZ[li] = f.snapNZ[li][:0]
-				f.mergedNZ[li] = f.mergedNZ[li][:0]
-			}
-		}
-		f.snapNZ = ensureNZ(f.snapNZ, capL, nR)
-		f.mergedNZ = ensureNZ(f.mergedNZ, capL, nR)
 		if len(f.saved) < capL {
+			f.snap = append(f.snap, make([][]entry, capL-len(f.snap))...)
+			f.merged = append(f.merged, make([][]entry, capL-len(f.merged))...)
 			f.saved = make([]costmath.Level, capL)
 		}
 	}
 }
 
-// ensureNZ sizes a per-level non-zero index list set: one slice per
-// level, each with room for every region.
-func ensureNZ(nz [][]int32, nLevels, nR int) [][]int32 {
-	if len(nz) < nLevels {
-		nz = append(nz, make([][]int32, nLevels-len(nz))...)
-	}
-	for i := range nz {
-		if cap(nz[i]) < nR {
-			nz[i] = make([]int32, 0, nR)
-		}
-	}
-	return nz
-}
-
 // run executes the program for all levels in one pass.
 func (ev *evaluator) run(p *Program, levels []hardware.Level) {
-	nL, nR := len(levels), len(p.regions)
+	nL := len(levels)
 	for i := 0; i < nL; i++ {
 		ev.lp[i] = costmath.Level{
 			C: float64(levels[i].Capacity),
@@ -213,9 +199,8 @@ func (ev *evaluator) run(p *Program, levels []hardware.Level) {
 			L: float64(levels[i].Lines()),
 		}
 		ev.miss[i] = Misses{}
-		ev.stateNZ[i] = ev.stateNZ[i][:0]
+		ev.state[i] = ev.state[i][:0]
 	}
-	clear(ev.state[:nL*nR])
 
 	ev.footprints(p, nL)
 
@@ -228,31 +213,17 @@ func (ev *evaluator) run(p *Program, levels []hardware.Level) {
 			depth++
 			f.slot0, f.n, f.child = in.Reg, in.N, 0
 			for li := 0; li < nL; li++ {
-				// Snapshot the entry state and reset the merged
-				// accumulator, touching only (possibly stale) non-zero
-				// entries.
-				snapRow := f.snap[li*nR : (li+1)*nR]
-				for _, r := range f.snapNZ[li] {
-					snapRow[r] = 0
-				}
-				row := ev.state[li*nR : (li+1)*nR]
-				f.snapNZ[li] = append(f.snapNZ[li][:0], ev.stateNZ[li]...)
-				for _, r := range f.snapNZ[li] {
-					snapRow[r] = row[r]
-				}
-				mrgRow := f.merged[li*nR : (li+1)*nR]
-				for _, r := range f.mergedNZ[li] {
-					mrgRow[r] = 0
-				}
-				f.mergedNZ[li] = f.mergedNZ[li][:0]
+				f.snap[li] = append(f.snap[li][:0], ev.state[li]...)
+				f.merged[li] = f.merged[li][:0]
 			}
 			copy(f.saved[:nL], ev.lp[:nL])
 			ev.setChildLp(f, nL)
 		case opNext:
 			f := &ev.frames[depth-1]
 			for li := 0; li < nL; li++ {
-				ev.maxMerge(f, li, nR)
-				ev.restoreSnap(f, li, nR)
+				ev.maxMerge(f, li)
+				// The next child starts from the entry state.
+				ev.state[li] = append(ev.state[li][:0], f.snap[li]...)
 			}
 			f.child++
 			ev.setChildLp(f, nL)
@@ -260,30 +231,17 @@ func (ev *evaluator) run(p *Program, levels []hardware.Level) {
 			depth--
 			f := &ev.frames[depth]
 			for li := 0; li < nL; li++ {
-				ev.maxMerge(f, li, nR)
-				slices.Sort(f.mergedNZ[li])
-				ev.concMerge(p, f, li, nR)
+				ev.maxMerge(f, li)
+				ev.concMerge(f, li)
 			}
 			copy(ev.lp[:nL], f.saved[:nL])
 		default:
+			t := &p.ents[in.Reg]
+			reg := &p.regions[in.Reg]
 			for li := 0; li < nL; li++ {
-				ev.evalBasic(p, in, li, nR)
+				ev.evalBasic(in, t, reg, li)
 			}
 		}
-	}
-}
-
-// restoreSnap resets one level of the live state to the frame's entry
-// snapshot (the next ⊙ child starts from the same state).
-func (ev *evaluator) restoreSnap(f *frame, li, nR int) {
-	row := ev.state[li*nR : (li+1)*nR]
-	for _, r := range ev.stateNZ[li] {
-		row[r] = 0
-	}
-	ev.stateNZ[li] = append(ev.stateNZ[li][:0], f.snapNZ[li]...)
-	snapRow := f.snap[li*nR : (li+1)*nR]
-	for _, r := range ev.stateNZ[li] {
-		row[r] = snapRow[r]
 	}
 }
 
@@ -364,37 +322,92 @@ func (ev *evaluator) setChildLp(f *frame, nL int) {
 
 // maxMerge folds one level of the current state (one finished ⊙ child)
 // into the frame's merged accumulator: after ⊙ the cache holds a
-// fraction of each region proportional to its pattern's share.
-func (ev *evaluator) maxMerge(f *frame, li, nR int) {
-	st := ev.state[li*nR : (li+1)*nR]
-	mrg := f.merged[li*nR : (li+1)*nR]
-	for _, r := range ev.stateNZ[li] {
-		v := st[r]
-		if mrg[r] == 0 {
-			f.mergedNZ[li] = append(f.mergedNZ[li], r)
-			mrg[r] = v
-		} else if v > mrg[r] {
-			mrg[r] = v
+// fraction of each region proportional to its pattern's share, the
+// larger one for a region in both rows. Sibling states mostly hold the
+// same regions, so the common prefix is merged in place first; the
+// rest — both rows are sorted by index — is counted in one pass and
+// merged in place from the back in a second.
+func (ev *evaluator) maxMerge(f *frame, li int) {
+	st, m := ev.state[li], f.merged[li]
+	if len(m) == 0 {
+		f.merged[li] = append(m, st...)
+		return
+	}
+	p := 0
+	for p < len(m) && p < len(st) && m[p].reg == st[p].reg {
+		maxInto(&m[p], &st[p])
+		p++
+	}
+	n := len(m) + len(st) - p
+	for i, j := p, p; i < len(m) && j < len(st); {
+		switch {
+		case m[i].reg < st[j].reg:
+			i++
+		case m[i].reg > st[j].reg:
+			j++
+		default:
+			n--
+			i++
+			j++
 		}
 	}
+	i, j := len(m)-1, len(st)-1
+	m = slices.Grow(m, n-len(m))[:n]
+	for k := n - 1; j >= p; k-- {
+		switch {
+		case i >= p && m[i].reg > st[j].reg:
+			m[k] = m[i]
+			i--
+		case i >= p && m[i].reg == st[j].reg:
+			if k != i {
+				m[k] = m[i]
+			}
+			maxInto(&m[k], &st[j])
+			i--
+			j--
+		default:
+			m[k] = st[j]
+			j--
+		}
+	}
+	f.merged[li] = m
+}
+
+// maxInto raises dst to src's fraction if src holds more of the same
+// region. Only rho and key differ between the two; positive floats
+// order like their bits, so the choice is made with conditional moves,
+// not a branch on data.
+func maxInto(dst, src *entry) {
+	r, key := math.Float64bits(dst.rho), math.Float64bits(dst.key)
+	sr, skey := math.Float64bits(src.rho), math.Float64bits(src.key)
+	if sr > r {
+		r, key = sr, skey
+	}
+	dst.rho, dst.key = math.Float64frombits(r), math.Float64frombits(key)
 }
 
 // evalBasic executes one basic-pattern instruction at one level:
 // Eq. 5.1 state adjustment around the Section-4 cold count, miss
-// accumulation, then the state merge.
-func (ev *evaluator) evalBasic(p *Program, in *instr, li, nR int) {
+// accumulation, then the state merge. t is the template span of the
+// instruction's region, reg its table row.
+func (ev *evaluator) evalBasic(in *instr, t *span, reg *RegionInfo, li int) {
 	lv := ev.lp[li]
-	row := ev.state[li*nR : (li+1)*nR]
-	reg := &p.regions[in.Reg]
 	u := float64(in.U)
 
-	// Effective resident fraction: the region's own entry, or an
-	// ancestor's (a resident parent implies resident sub-regions).
-	rho := row[in.Reg]
-	for x := reg.Parent; x >= 0; x = p.regions[x].Parent {
-		if row[x] > rho {
-			rho = row[x]
+	// One pass over the row finds the effective resident fraction —
+	// the region's own entry, or an ancestor's (a resident parent
+	// implies resident sub-regions) — and the resident bytes of the
+	// entries unrelated to the region, which a merge keeps.
+	var rho, oldBytes float64
+	for i := range ev.state[li] {
+		e := &ev.state[li][i]
+		if e.related(t) {
+			if e.pre <= t.pre { // ancestor-or-self
+				rho = max(rho, e.rho)
+			}
+			continue
 		}
+		oldBytes += e.key
 	}
 
 	var mi Misses
@@ -426,14 +439,14 @@ func (ev *evaluator) evalBasic(p *Program, in *instr, li, nR int) {
 
 	// Result state: the fraction of the region that fits the
 	// (possibly scaled) cache, merged over what survives beside it.
-	if size := reg.Size(); size > 0 {
-		rhoNew := lv.C / float64(size)
+	if t.size > 0 {
+		rhoNew := lv.C / t.size
 		if rhoNew > 1 {
 			rhoNew = 1
 		}
-		ev.mergeBasic(p, row, li, lv, in.Reg, rhoNew)
+		ev.mergeBasic(li, lv, t, rhoNew, oldBytes)
 	} else {
-		ev.mergeEmpty(p, row, li, lv)
+		ev.mergeEmpty(li, lv)
 	}
 }
 
@@ -471,271 +484,225 @@ func isRandomOp(in *instr) bool {
 }
 
 // mergeBasic merges the single-region state a basic pattern leaves
-// behind with the previous row contents, mirroring the tree walker's
-// mergeState: earlier regions survive as long as the new resident
-// bytes leave room, scaled down proportionally otherwise; entries
-// overlapping the new region (same identity, an ancestor or a
-// descendant; see related) are superseded.
-func (ev *evaluator) mergeBasic(p *Program, row []float64, li int, lv costmath.Level, ri int32, rhoNew float64) {
-	lst := ev.stateNZ[li]
-	newBytes := rhoNew * float64(p.regions[ri].Size())
+// behind (region t at rhoNew) with the previous row contents,
+// mirroring the tree walker's mergeState: earlier regions survive as
+// long as the new resident bytes leave room, scaled down
+// proportionally otherwise; entries overlapping the new region (same
+// identity, an ancestor or a descendant) are superseded. oldBytes is
+// the resident bytes of the entries that are not superseded.
+func (ev *evaluator) mergeBasic(li int, lv costmath.Level, t *span, rhoNew, oldBytes float64) {
+	newBytes := rhoNew * t.size
 	avail := lv.C - newBytes
-	if avail <= 0 {
-		ev.resetTo(row, li, ri, rhoNew)
-		return
-	}
-	var oldBytes float64
-	for _, r := range lst {
-		if p.related(r, ri) {
-			continue
-		}
-		oldBytes += row[r] * float64(p.regions[r].Size())
-	}
-	if oldBytes <= 0 {
-		ev.resetTo(row, li, ri, rhoNew)
+	if avail <= 0 || oldBytes <= 0 {
+		ev.state[li] = append(ev.state[li][:0], entry{span: *t, rho: rhoNew, key: newBytes})
 		return
 	}
 	scale := 1.0
 	if oldBytes > avail {
 		scale = avail / oldBytes
 	}
-	out := lst[:0]
-	for _, r := range lst {
-		if r == ri {
-			continue // re-inserted below with its new fraction
-		}
-		if p.related(r, ri) {
-			row[r] = 0
+	// Rescale the survivors in place, remembering where the new
+	// region's entry goes in index order.
+	row := ev.state[li]
+	w, at := 0, 0
+	for i := range row {
+		e := &row[i]
+		if e.related(t) {
 			continue
 		}
-		if g := row[r] * scale; g > 1e-9 {
-			row[r] = g
-			out = append(out, r)
-		} else {
-			row[r] = 0
+		if g := e.rho * scale; g > 1e-9 {
+			// Move the entry before writing its new fraction: copying
+			// a just-written entry would stall on store forwarding.
+			key := g * e.size
+			if w != i {
+				row[w] = *e
+			}
+			row[w].rho, row[w].key = g, key
+			w++
+			if e.reg < t.reg {
+				at = w
+			}
 		}
 	}
-	row[ri] = rhoNew
-	i, _ := slices.BinarySearch(out, ri)
-	out = append(out, 0)
-	copy(out[i+1:], out[i:])
-	out[i] = ri
-	ev.stateNZ[li] = out
-	ev.boundRow(p, row, li)
-}
-
-// related reports whether regions a and b overlap in memory: one is
-// an ancestor-or-self of the other. Preorder intervals of a forest
-// either nest or are disjoint, so comparing the later-starting
-// region's number against the other's interval end decides it.
-func (p *Program) related(a, b int32) bool {
-	pa, pb := p.pre[a], p.pre[b]
-	if pa <= pb {
-		return pb < p.end[a]
-	}
-	return pa < p.end[b]
-}
-
-// resetTo empties one level's state and leaves only region ri resident.
-func (ev *evaluator) resetTo(row []float64, li int, ri int32, rho float64) {
-	for _, r := range ev.stateNZ[li] {
-		row[r] = 0
-	}
-	row[ri] = rho
-	ev.stateNZ[li] = append(ev.stateNZ[li][:0], ri)
+	row = append(row[:w], entry{})
+	copy(row[at+1:], row[at:w])
+	row[at] = entry{span: *t, rho: rhoNew, key: newBytes}
+	ev.state[li] = row
+	ev.boundRow(li)
 }
 
 // mergeEmpty merges an empty result state (a zero-size region leaves
 // nothing behind): previous contents are rescaled to the capacity.
-func (ev *evaluator) mergeEmpty(p *Program, row []float64, li int, lv costmath.Level) {
-	lst := ev.stateNZ[li]
+func (ev *evaluator) mergeEmpty(li int, lv costmath.Level) {
+	row := ev.state[li]
 	var oldBytes float64
-	for _, r := range lst {
-		oldBytes += row[r] * float64(p.regions[r].Size())
+	for i := range row {
+		oldBytes += row[i].key
 	}
 	if oldBytes <= 0 {
-		for _, r := range lst {
-			row[r] = 0
-		}
-		ev.stateNZ[li] = lst[:0]
+		ev.state[li] = row[:0]
 		return
 	}
 	scale := 1.0
 	if oldBytes > lv.C {
 		scale = lv.C / oldBytes
 	}
-	out := lst[:0]
-	for _, r := range lst {
-		if g := row[r] * scale; g > 1e-9 {
-			row[r] = g
-			out = append(out, r)
-		} else {
-			row[r] = 0
+	w := 0
+	for i := range row {
+		if g := row[i].rho * scale; g > 1e-9 {
+			key := g * row[i].size
+			row[w] = row[i]
+			row[w].rho, row[w].key = g, key
+			w++
 		}
 	}
-	ev.stateNZ[li] = out
-	ev.boundRow(p, row, li)
+	ev.state[li] = row[:w]
+	ev.boundRow(li)
 }
 
 // concMerge finishes one level of a ⊙ group: the max-merged child
 // states supersede the entry state, and entry-state entries unrelated
 // to any merged region survive in the room the merged bytes leave.
-func (ev *evaluator) concMerge(p *Program, f *frame, li, nR int) {
+func (ev *evaluator) concMerge(f *frame, li int) {
 	lv := f.saved[li]
-	old := f.snap[li*nR : (li+1)*nR]
-	mrg := f.merged[li*nR : (li+1)*nR]
-	row := ev.state[li*nR : (li+1)*nR]
-
-	// Replace the live state with the merged child states. mergedNZ is
-	// sorted by the caller, so the newBytes sum visits regions in the
-	// same ascending order a dense scan would.
-	for _, r := range ev.stateNZ[li] {
-		row[r] = 0
-	}
-	lst := ev.stateNZ[li][:0]
+	mrg := f.merged[li]
 	var newBytes float64
-	for _, r := range f.mergedNZ[li] {
-		row[r] = mrg[r]
-		lst = append(lst, r)
-		newBytes += mrg[r] * float64(p.regions[r].Size())
+	for i := range mrg {
+		newBytes += mrg[i].key
 	}
-	ev.stateNZ[li] = lst
-
 	avail := lv.C - newBytes
 	if avail <= 0 {
+		ev.state[li] = append(ev.state[li][:0], mrg...)
 		return
 	}
 	// An entry of the entry state survives only if it is unrelated to
-	// every merged region. Mark the merged regions and their ancestor
-	// chains once (generation stamps avoid clearing), so each survival
-	// test is a parent-chain walk instead of a scan over all merged
-	// regions. A chain walk stops at the first ancestor already
-	// stamped: every walk runs to a root or to such an ancestor, so
-	// the rest of that chain is stamped already.
-	ev.gen++
-	for _, n := range f.mergedNZ[li] {
-		ev.mergedStamp[n] = ev.gen
-		for x := n; x >= 0 && ev.ancStamp[x] != ev.gen; x = p.regions[x].Parent {
-			ev.ancStamp[x] = ev.gen
-		}
-	}
-	keep := func(r int32) bool {
-		if ev.ancStamp[r] == ev.gen {
-			return false // r is merged, or an ancestor of a merged region
-		}
-		for x := p.regions[r].Parent; x >= 0; x = p.regions[x].Parent {
-			if ev.mergedStamp[x] == ev.gen {
-				return false // a merged region contains r
-			}
-		}
-		return true
-	}
+	// every merged region. Both rows are sorted by index, so one
+	// two-pointer pass drops the entries the merged row holds itself;
+	// only the rest (one or two per group, typically) are tested
+	// against the merged entries' intervals.
+	surv := ev.surv[:0]
 	var oldBytes float64
-	for _, r := range f.snapNZ[li] {
-		if keep(r) {
-			oldBytes += old[r] * float64(p.regions[r].Size())
+	i := 0
+	for k := range f.snap[li] {
+		e := &f.snap[li][k]
+		for i < len(mrg) && mrg[i].reg < e.reg {
+			i++
 		}
+		if i < len(mrg) && mrg[i].reg == e.reg || relatedToAny(&e.span, mrg) {
+			continue
+		}
+		surv = append(surv, *e)
+		oldBytes += e.key
 	}
+	ev.surv = surv
 	if oldBytes <= 0 {
+		ev.state[li] = append(ev.state[li][:0], mrg...)
 		return
 	}
 	scale := 1.0
 	if oldBytes > avail {
 		scale = avail / oldBytes
 	}
-	added := false
-	for _, r := range f.snapNZ[li] {
-		if !keep(r) {
-			continue
-		}
-		if g := old[r] * scale; g > 1e-9 {
-			row[r] = g
-			ev.stateNZ[li] = append(ev.stateNZ[li], r)
-			added = true
+	// Survivors and merged entries are disjoint and both sorted by
+	// index: interleave them into the new state.
+	st := ev.state[li][:0]
+	i = 0
+	for k := range surv {
+		e := &surv[k]
+		if g := e.rho * scale; g > 1e-9 {
+			key := g * e.size
+			j := i
+			for j < len(mrg) && mrg[j].reg < e.reg {
+				j++
+			}
+			st = append(append(st, mrg[i:j]...), *e)
+			st[len(st)-1].rho, st[len(st)-1].key = g, key
+			i = j
 		}
 	}
-	if added {
-		slices.Sort(ev.stateNZ[li])
-	}
-	ev.boundRow(p, row, li)
+	ev.state[li] = append(st, mrg[i:]...)
+	ev.boundRow(li)
 }
 
-// boundRow enforces maxStateEntries, keeping the entries with the most
-// resident bytes (ties: region name, then index), exactly like the
-// tree walker's boundState.
-func (ev *evaluator) boundRow(p *Program, row []float64, li int) {
-	lst := ev.stateNZ[li]
-	k := len(lst) - maxStateEntries
+// relatedToAny reports whether region s is related to any entry of row.
+func relatedToAny(s *span, row []entry) bool {
+	for i := range row {
+		if row[i].related(s) {
+			return true
+		}
+	}
+	return false
+}
+
+// maxScanDrop is the largest overflow boundRow resolves by one scan
+// instead of a sort.
+const maxScanDrop = 4
+
+// boundRow enforces maxStateEntries, keeping the entries that rank
+// highest in the retention order (keepsBefore), exactly like the tree
+// walker's boundState.
+func (ev *evaluator) boundRow(li int) {
+	row := ev.state[li]
+	k := len(row) - maxStateEntries
 	if k <= 0 {
 		return
 	}
-	for _, r := range lst {
-		ev.key[r] = row[r] * float64(p.regions[r].Size())
-	}
-	if k <= 4 {
-		// The common case — a merge pushed the row a few entries over
-		// the bound — drops the k lowest-ranked entries by linear scan
-		// instead of sorting the whole row. The ranking's total order
-		// (bytes desc, name asc, index asc) makes the dropped set
-		// identical to the full sort's tail.
-		for ; k > 0; k-- {
-			worst := 0
-			for i := 1; i < len(lst); i++ {
-				if ev.dropsBefore(p, lst[worst], lst[i]) {
-					worst = i
-				}
+	if k > maxScanDrop {
+		// A large overflow (rare: a ⊙ merge of many disjoint children)
+		// keeps every entry ranked above the k-th lowest.
+		srt := append(ev.surv[:0], row...)
+		slices.SortFunc(srt, func(a, b entry) int {
+			switch {
+			case a.reg == b.reg:
+				return 0
+			case keepsBefore(&b, &a):
+				return -1 // a is dropped before b
 			}
-			row[lst[worst]] = 0
-			lst = append(lst[:worst], lst[worst+1:]...)
+			return 1
+		})
+		ev.surv = srt
+		drop := srt[k-1]
+		w := 0
+		for i := range row {
+			if keepsBefore(&row[i], &drop) {
+				row[w] = row[i]
+				w++
+			}
 		}
-		ev.stateNZ[li] = lst
+		ev.state[li] = row[:w]
 		return
 	}
-	idx := append(ev.bndIdx[:0], lst...)
-	ev.sorter.idx = idx
-	ev.sorter.key = ev.key
-	ev.sorter.regs = p.regions
-	sort.Sort(&ev.sorter)
-	for _, r := range idx[maxStateEntries:] {
-		row[r] = 0
+	// The common case — a merge pushed the row a few entries over the
+	// bound — finds the k lowest-ranked entries in one pass, keeping
+	// the positions of the k lowest seen so far, best first: past the
+	// first k entries, that costs one comparison per entry.
+	var buf [maxScanDrop]int32
+	worst := buf[:0]
+	for i := range row {
+		e := &row[i]
+		if len(worst) == k {
+			if !keepsBefore(&row[worst[0]], e) {
+				continue
+			}
+			worst = worst[:copy(worst, worst[1:])]
+		}
+		at := len(worst)
+		for at > 0 && keepsBefore(e, &row[worst[at-1]]) {
+			at--
+		}
+		worst = worst[:len(worst)+1]
+		copy(worst[at+1:], worst[at:])
+		worst[at] = int32(i)
 	}
-	kept := idx[:maxStateEntries]
-	slices.Sort(kept)
-	ev.stateNZ[li] = append(lst[:0], kept...)
-}
-
-// dropsBefore reports whether region b ranks below region a in the
-// retention order (i.e. b is dropped before a): fewer resident bytes,
-// ties by name descending, then index descending — the exact reverse
-// of rowSorter's keep order.
-func (ev *evaluator) dropsBefore(p *Program, a, b int32) bool {
-	if ev.key[a] != ev.key[b] {
-		return ev.key[b] < ev.key[a]
+	// Cut the dropped positions out, in index order.
+	slices.Sort(worst)
+	w := int(worst[0])
+	for j, d := range worst {
+		next := len(row)
+		if j+1 < len(worst) {
+			next = int(worst[j+1])
+		}
+		w += copy(row[w:], row[d+1:next])
 	}
-	if p.regions[a].Name != p.regions[b].Name {
-		return p.regions[b].Name > p.regions[a].Name
-	}
-	return b > a
-}
-
-// rowSorter orders region indices by resident bytes descending, then
-// name ascending, then index — a deterministic refinement of the tree
-// walker's ordering.
-type rowSorter struct {
-	idx  []int32
-	key  []float64
-	regs []RegionInfo
-}
-
-func (s *rowSorter) Len() int      { return len(s.idx) }
-func (s *rowSorter) Swap(i, j int) { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
-func (s *rowSorter) Less(i, j int) bool {
-	a, b := s.idx[i], s.idx[j]
-	if s.key[a] != s.key[b] {
-		return s.key[a] > s.key[b]
-	}
-	if s.regs[a].Name != s.regs[b].Name {
-		return s.regs[a].Name < s.regs[b].Name
-	}
-	return a < b
+	ev.state[li] = row[:w]
 }

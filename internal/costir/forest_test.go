@@ -26,13 +26,13 @@ func oracleRelated(regs []RegionInfo, a, b int32) bool {
 	return false
 }
 
-// checkRelated compares Program.related with the parent-chain walk on
+// checkRelated compares entry.related with the parent-chain walk on
 // every pair of regions, or on a sample of pairs for large tables.
 func checkRelated(t *testing.T, what string, prog *Program, rng *rand.Rand) {
 	t.Helper()
 	n := int32(len(prog.regions))
 	check := func(a, b int32) {
-		if got, want := prog.related(a, b), oracleRelated(prog.regions, a, b); got != want {
+		if got, want := prog.ents[a].related(&prog.ents[b]), oracleRelated(prog.regions, a, b); got != want {
 			t.Fatalf("%s: related(%d %q, %d %q) = %v, parent-chain walk says %v",
 				what, a, prog.regions[a].Name, b, prog.regions[b].Name, got, want)
 		}
@@ -156,5 +156,26 @@ func TestCompileAllocsPerInstruction(t *testing.T) {
 	} else {
 		t.Logf("Compile(quicksort-64MB): %.0f allocations for %d instructions = %.2f each",
 			allocs, prog.NumInstructions(), per)
+	}
+}
+
+// TestNameRanksFollowStringOrder: boundRow breaks resident-byte ties by
+// name through the compiled name ranks, so ranks must order exactly as
+// the names do, equal names sharing a rank.
+func TestNameRanksFollowStringOrder(t *testing.T) {
+	var p pattern.Seq
+	for i, name := range []string{"b", "a", "ab", "a", "B", "", "a\x00", "ba"} {
+		p = append(p, pattern.STrav{R: region.New(name, int64(100+i), 8)})
+	}
+	p = append(p, pattern.STrav{R: region.New("ab", 100, 8).Sub(1, 4)})
+	prog := mustCompile(t, p)
+	for a := range prog.regions {
+		for b := range prog.regions {
+			na, nb := prog.regions[a].Name, prog.regions[b].Name
+			ra, rb := prog.ents[a].rank, prog.ents[b].rank
+			if (na < nb) != (ra < rb) || (na == nb) != (ra == rb) {
+				t.Errorf("names %q, %q have ranks %d, %d", na, nb, ra, rb)
+			}
+		}
 	}
 }

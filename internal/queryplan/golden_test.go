@@ -70,10 +70,7 @@ type goldenFile struct {
 func computeGolden(t *testing.T, profile string, sc queryplan.Scenario) goldenFile {
 	t.Helper()
 	h := hardware.Profiles()[profile]()
-	plans, err := queryplan.Rank(h, sc.Query, queryplan.SearchOptions{})
-	if err != nil {
-		t.Fatalf("Rank(%s): %v", sc.Name, err)
-	}
+	plans := rankScenario(t, profile, sc)
 	if len(plans) == 0 {
 		t.Fatalf("Rank(%s): no plans", sc.Name)
 	}

@@ -278,11 +278,13 @@ func (q Query) joinEstimate(ln, lw, rn, rw int64, lm, rm uint32) (n, w int64) {
 			card *= e.Selectivity
 		}
 	}
-	w = lw + rw - engine.KeyWidth
-	if w < engine.KeyWidth {
-		w = engine.KeyWidth
-	}
-	return clampTuples(card), w
+	return clampTuples(card), joinWidth(lw, rw)
+}
+
+// joinWidth is the tuple width of a join output over inputs of widths
+// lw and rw: both tuples concatenated, the shared key stored once.
+func joinWidth(lw, rw int64) int64 {
+	return max(lw+rw-engine.KeyWidth, engine.KeyWidth)
 }
 
 // subsetName names the output of a join over relation subset mask.

@@ -438,11 +438,30 @@ func TestPlannerMatchesRescore(t *testing.T) {
 			}
 			var cands []Candidate
 			var trees []*Plan
+			// A join writes both input tuples with the shared key once.
+			joined := in.u.Width + in.v.Width - engine.KeyWidth
+			var narrow []*Plan
 			for _, c := range joins {
 				cands = append(cands, c)
-				trees = append(trees, &Plan{Kind: OpJoin, Algorithm: c.Algorithm, Fanout: c.Fanout,
+				join := &Plan{Kind: OpJoin, Algorithm: c.Algorithm, Fanout: c.Fanout,
 					Children: []*Plan{scan(in.u), scan(in.v)},
-					Out:      Relation{Name: "W", Tuples: outTuples, Width: in.u.Width}})
+					Out:      Relation{Name: "W", Tuples: outTuples, Width: joined}}
+				trees = append(trees, join)
+				n := *join
+				n.Out.Width = in.u.Width
+				narrow = append(narrow, &n)
+			}
+			// The output width must reach the price: the same joins
+			// sized at the left input's width cost less.
+			under, err := Rescore(h, narrow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range joins {
+				if mem := c.Compiled.MemoryTimeNS(h); !(under[i].MemNS < mem) {
+					t.Errorf("%s, %s over %v: join output at the left width prices %v, not below the joined width's %v",
+						h.Name, c.Algorithm, in.u, under[i].MemNS, mem)
+				}
 			}
 			table := engine.AggRegionFor("A", groups)
 			for _, c := range aggs {

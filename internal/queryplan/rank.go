@@ -213,7 +213,7 @@ func scanOf(r Relation) *Plan { return &Plan{Kind: OpScan, Rel: r, Filter: 1, Ou
 // candidate's access pattern exactly once. Cost nothing yet: pass the
 // result to ScoreOn for each hardware profile of interest.
 func (pl *Planner) JoinCandidates(u, v Relation, outTuples int64) ([]Candidate, error) {
-	out := Relation{Name: "W", Tuples: outTuples, Width: u.Width}
+	out := Relation{Name: "W", Tuples: outTuples, Width: joinWidth(u.Width, v.Width)}
 	join := func(alg Algorithm, fanout int64) *Plan {
 		return &Plan{Kind: OpJoin, Algorithm: alg, Fanout: fanout,
 			Children: []*Plan{scanOf(u), scanOf(v)}, Out: out}
