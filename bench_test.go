@@ -366,7 +366,10 @@ func BenchmarkPlanSearch(b *testing.B) {
 // reuse a program only for an identical pattern, while plan-cache
 // revalidation recompiles every recipe of every drifted request. The
 // quick-sort case is the deepest program the planner routinely builds
-// (⊕ nested 11 deep).
+// (⊕ nested 11 deep). Compile renders no canonical text, and a warm
+// process reuses its canonicalization scratch, so allocations are the
+// program's own arrays; `benchjson -check` holds the quick-sort case
+// under allocs/op and B/op ceilings.
 func BenchmarkCompile(b *testing.B) {
 	n := int64(1 << 20)
 	u := region.New("U", n, 16)

@@ -94,19 +94,19 @@ func runLoadgen(args []string) {
 }
 
 type loadgenConfig struct {
-	Profile      string   `json:"profile"`
+	Profile      string        `json:"profile"`
 	Scenarios    []string      `json:"scenarios"`
 	Duration     time.Duration `json:"-"`
 	RateQPS      float64       `json:"rate_qps"`
-	InlineFrac   float64 `json:"inline_frac"`
-	DriftFrac    float64 `json:"drift_frac"`
-	BigDriftFrac float64 `json:"bigdrift_frac"`
-	Seed         int64   `json:"seed"`
-	ColdIters    int     `json:"cold_iters"`
-	Probes       int     `json:"probes"`
-	MinSpeedup   float64 `json:"min_speedup"`
-	Quick        bool    `json:"quick"`
-	DurationSec  float64 `json:"duration_s"`
+	InlineFrac   float64       `json:"inline_frac"`
+	DriftFrac    float64       `json:"drift_frac"`
+	BigDriftFrac float64       `json:"bigdrift_frac"`
+	Seed         int64         `json:"seed"`
+	ColdIters    int           `json:"cold_iters"`
+	Probes       int           `json:"probes"`
+	MinSpeedup   float64       `json:"min_speedup"`
+	Quick        bool          `json:"quick"`
+	DurationSec  float64       `json:"duration_s"`
 }
 
 // latencyStats summarizes one serving class's arrival-to-response

@@ -18,7 +18,11 @@
 //     state merges are all order-independent), and don't-care fields
 //     normalized. Two patterns with the same canonical form compile to
 //     the same program, which makes the canonical string a correct
-//     interning key for compile caches (see CanonicalKey).
+//     interning key for compile caches (see CanonicalKey). The tree is
+//     canonicalized by structure: ⊙ operands are ordered by a
+//     comparator equivalent to comparing their renderings
+//     (canontext.go), and the text itself is built only when a caller
+//     asks for it.
 //   - Region deduplication: regions are identified by canonical
 //     identity — name, item count, item width, and parent chain — not
 //     by pointer. Structurally identical *region.Region values that
@@ -42,7 +46,6 @@ package costir
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 
 	"repro/internal/pattern"
@@ -74,6 +77,7 @@ const (
 // opConc carries the footprint-slot range of its children.
 type instr struct {
 	Op    op
+	NoSeq bool
 	Reg   int32 // basic: region index; opConc: first footprint slot
 	N     int32 // opConc: child count
 	U     int64 // bytes used per item (resolved, 0 < U ≤ W)
@@ -82,7 +86,6 @@ type instr struct {
 	Dir   pattern.Direction
 	Order pattern.Order
 	Inner pattern.InnerKind
-	NoSeq bool
 }
 
 // footOp is an opcode of the footprint program: a postorder expression
@@ -123,8 +126,7 @@ func (ri RegionInfo) Size() int64 { return ri.N * ri.W }
 // for concurrent evaluation and for sharing across hardware profiles
 // (nothing in it depends on the hierarchy).
 type Program struct {
-	canonical string
-	regions   []RegionInfo
+	regions []RegionInfo
 	// ents holds one compact-row template per region: its preorder
 	// interval (see numberForest), name rank and size (see span).
 	ents      []span
@@ -141,7 +143,12 @@ type Program struct {
 // and regions identified by name, item count, width and parent chain.
 // Two patterns with equal canonical forms are cost-equivalent on every
 // hierarchy, which makes the string a correct cache/interning key.
-func (p *Program) Canonical() string { return p.canonical }
+// A program stores no text: each call renders the string afresh from
+// the instruction stream, the footprint program and the region table.
+func (p *Program) Canonical() string {
+	t := p.tree()
+	return t.render(t.root)
+}
 
 // NumRegions returns the number of deduplicated regions.
 func (p *Program) NumRegions() int { return len(p.regions) }
@@ -164,6 +171,7 @@ func Compile(p pattern.Pattern) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer cz.release()
 	return cz.compile(), nil
 }
 
@@ -175,7 +183,8 @@ func CanonicalKey(p pattern.Pattern) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return cz.root.render(), nil
+	defer cz.release()
+	return cz.render(cz.root), nil
 }
 
 // CompileIf canonicalizes p once and compiles it only if keep accepts
@@ -187,27 +196,26 @@ func CompileIf(p pattern.Pattern, keep func(key string) bool) (*Program, error) 
 	if err != nil {
 		return nil, err
 	}
-	if !keep(cz.root.render()) {
+	defer cz.release()
+	if !keep(cz.render(cz.root)) {
 		return nil, nil
 	}
 	return cz.compile(), nil
 }
 
 // compile lowers the canonical tree into a program. The instruction
-// streams are sized exactly up front, and the region tables for every
+// streams are sized exactly up front, and the region table for every
 // distinct region pointer (an upper bound on distinct identities).
 func (cz *canonicalizer) compile() *Program {
-	nPtr := len(cz.memo)
 	c := compiler{
-		regions: make([]RegionInfo, 0, nPtr),
-		regPtr:  make(map[*region.Region]int32, nPtr),
-		regIdx:  make(map[regID]int32, nPtr),
+		t:       &cz.tree,
+		regions: make([]RegionInfo, 0, len(cz.regs)),
+		regIdx:  cz.regIdx,
 		instrs:  make([]instr, 0, cz.nInstrs),
 		foot:    make([]footInstr, 0, cz.nFoot),
 	}
 	c.emit(cz.root)
 	return &Program{
-		canonical: cz.root.render(),
 		regions:   c.regions,
 		ents:      spans(c.regions),
 		instrs:    c.instrs,
@@ -225,17 +233,21 @@ func (cz *canonicalizer) compile() *Program {
 func spans(regs []RegionInfo) []span {
 	sp := make([]span, len(regs))
 	numberForest(regs, sp)
-	byName := make([]int32, len(regs))
-	for i := range byName {
-		byName[i] = int32(i)
+	type named struct {
+		name string
+		reg  int32
 	}
-	slices.SortFunc(byName, func(a, b int32) int { return strings.Compare(regs[a].Name, regs[b].Name) })
+	byName := make([]named, len(regs))
+	for i, r := range regs {
+		byName[i] = named{r.Name, int32(i)}
+	}
+	slices.SortFunc(byName, func(a, b named) int { return strings.Compare(a.name, b.name) })
 	var rank int32
 	for i, r := range byName {
-		if i > 0 && regs[r].Name != regs[byName[i-1]].Name {
+		if i > 0 && r.name != byName[i-1].name {
 			rank++
 		}
-		sp[r].rank = rank
+		sp[r.reg].rank = rank
 	}
 	for i := range sp {
 		sp[i].reg = int32(i)
@@ -275,124 +287,171 @@ func numberForest(regs []RegionInfo, sp []span) {
 	}
 }
 
-// cnode is one node of the canonicalized pattern tree: basic patterns
-// with resolved parameters, or ⊕/⊙ nodes with flattened/sorted
-// children. A basic node's key is its canonical rendering. A compound
-// node's key stays empty until something must compare or return it
-// (a ⊙ parent sorting its operands, or the root); size is the length
-// of the rendering either way, so it can be written in one pass.
-type cnode struct {
-	op    op
-	reg   *region.Region
-	u     int64
-	a     int64
-	m     int64
-	dir   pattern.Direction
-	order pattern.Order
-	inner pattern.InnerKind
-	noSeq bool
-	kids  []*cnode
-	key   string
-	size  int
+// tree is a canonicalized pattern tree in flat form: nodes, child
+// lists and regions live in three arrays and refer to one another by
+// index, so building a tree appends to a few arrays instead of
+// allocating per node, and the node arrays hold nothing the garbage
+// collector has to scan. Nodes are added children first; no node
+// carries text — the canonical string is rendered from the tree only
+// when a caller asks for it (canontext.go).
+type tree struct {
+	nodes []cnode
+	kids  []int32 // child lists, each contiguous
+	regs  []creg
+	stack []int32 // children of the compound nodes being built
+	root  int32
 }
 
-// canonicalize validates p and builds its canonical tree.
+// cnode is one node of a tree. A basic node holds its instruction,
+// every parameter resolved and don't-care fields normalized, with Reg
+// indexing the tree's regions (the compiler emits the dense index); a ⊕
+// (opSeq) or ⊙ (opConc) node holds only its operator and its flattened
+// or sorted children, kids[kid : kid+nKids].
+type cnode struct {
+	in         instr
+	kid, nKids int32
+}
+
+// creg is a region of a tree: the canonical identity — name, item
+// count, width and parent chain — of one region pointer, shared by
+// every node that names it.
+type creg struct {
+	ptr    *region.Region // nil in a tree rebuilt from a program
+	name   string
+	n, w   int64
+	parent int32  // index in the tree's regions, or -1 for a root
+	idx    int32  // dense index + 1 once the compiler has interned it
+	link   string // rendered link, filled on first render (linkText)
+}
+
+// children returns the child list of a compound node.
+func (t *tree) children(n *cnode) []int32 { return t.kids[n.kid : n.kid+n.nKids] }
+
+// add appends a node and returns its index.
+func (t *tree) add(n cnode) int32 {
+	t.nodes = append(t.nodes, n)
+	return int32(len(t.nodes) - 1)
+}
+
+// compound adds a node of operator o over the children pushed on the
+// stack since base, popping them.
+func (t *tree) compound(o op, base int) int32 {
+	kid := int32(len(t.kids))
+	t.kids = append(t.kids, t.stack[base:]...)
+	t.stack = t.stack[:base]
+	return t.add(cnode{in: instr{Op: o}, kid: kid, nKids: int32(len(t.kids)) - kid})
+}
+
+// canonicalizer builds one tree. Beside it, it holds the index of
+// every region pointer seen, the compiler's identity table, and the
+// lengths of the two instruction streams compile will emit.
+type canonicalizer struct {
+	tree
+	byPtr          map[*region.Region]int32 // region pointer -> index in regs
+	regIdx         map[regID]int32          // see compiler.regIdx
+	cmp            func(a, b int32) int     // tree.compare, bound once
+	nInstrs, nFoot int
+	peak           int // most regions any tree built here has held
+}
+
+// canonicalizers keeps one spare canonicalizer (a leaky free list, in
+// Effective Go's terms): canonicalize takes it if it is there, and
+// release puts one back with its arrays and maps emptied but keeping
+// their capacity, unless the slot is taken or the tree outgrew
+// maxFreeNodes. Unlike a sync.Pool, the slot is neither emptied by
+// garbage collection nor split per P, so a warm process compiles a
+// pattern with the same allocations every time — the instruction
+// program's own arrays and nothing else. One slot serves the compiles
+// of one request, which run one after another; a spare per P kept more
+// live heap than it saved (measured as peak RSS on plan search).
+var canonicalizers = make(chan *canonicalizer, 1)
+
+// maxFreeNodes bounds the trees whose canonicalizers are kept for
+// reuse, counting nodes and regions (a 64 MB quick-sort has about
+// 13,000 and 4,000), and so the memory the spare holds.
+const maxFreeNodes = 1 << 15
+
+// canonicalize validates p and builds its canonical tree on the spare
+// canonicalizer, or a new one, which the caller must release.
 func canonicalize(p pattern.Pattern) (*canonicalizer, error) {
 	if err := pattern.Validate(p); err != nil {
 		return nil, err
 	}
-	cz := &canonicalizer{memo: map[*region.Region]string{}}
+	var cz *canonicalizer
+	select {
+	case cz = <-canonicalizers:
+	default:
+		cz = &canonicalizer{byPtr: map[*region.Region]int32{}, regIdx: map[regID]int32{}}
+		cz.cmp = cz.compare
+	}
 	cz.root = cz.canon(p)
 	return cz, nil
 }
 
-// canonicalizer builds one canonical tree. Beside the root it holds
-// what the nodes share — rendered region identities per pointer, a
-// scratch buffer for rendering keys, a slab the nodes are carved from —
-// and the lengths of the two instruction streams compile will emit.
-type canonicalizer struct {
-	root           *cnode
-	memo           map[*region.Region]string
-	buf            []byte
-	slab           []cnode
-	slabSize       int
-	nInstrs, nFoot int
+// release empties cz and keeps it as the spare. Nothing it keeps
+// refers into the pattern.
+func (cz *canonicalizer) release() {
+	if len(cz.nodes)+len(cz.regs) > maxFreeNodes {
+		return
+	}
+	// Clearing a map costs its capacity, which only grows, so a tree
+	// far smaller than the largest this canonicalizer has held deletes
+	// its own keys instead.
+	if 8*len(cz.regs) < cz.peak {
+		for i := range cz.regs {
+			r := &cz.regs[i]
+			delete(cz.byPtr, r.ptr)
+			if r.idx > 0 {
+				delete(cz.regIdx, cz.identity(r))
+			}
+		}
+	} else {
+		clear(cz.byPtr)
+		clear(cz.regIdx)
+	}
+	cz.peak = max(cz.peak, len(cz.regs))
+	clear(cz.regs)
+	cz.nodes, cz.kids, cz.regs, cz.stack = cz.nodes[:0], cz.kids[:0], cz.regs[:0], cz.stack[:0]
+	cz.nInstrs, cz.nFoot = 0, 0
+	select {
+	case canonicalizers <- cz:
+	default:
+	}
 }
 
-// node carves a node from the slab. Slabs double from 4 up to 256
-// nodes, so small patterns do not pay for a large one.
-func (cz *canonicalizer) node() *cnode {
-	if len(cz.slab) == 0 {
-		cz.slabSize = min(max(2*cz.slabSize, 4), 256)
-		cz.slab = make([]cnode, cz.slabSize)
+// region returns the index of r's creg, adding it (and, first, its
+// parent chain's) on first sight.
+func (cz *canonicalizer) region(r *region.Region) int32 {
+	if i, ok := cz.byPtr[r]; ok {
+		return i
 	}
-	n := &cz.slab[0]
-	cz.slab = cz.slab[1:]
-	return n
-}
-
-// regKey renders a region's canonical identity: quoted name, item
-// count, width, and (recursively) the parent chain. Two regions with
-// equal keys are indistinguishable to the cost model.
-func (cz *canonicalizer) regKey(r *region.Region) string {
-	if k, ok := cz.memo[r]; ok {
-		return k
-	}
-	var parent string
+	parent := int32(-1)
 	if r.Parent != nil {
-		parent = cz.regKey(r.Parent)
+		parent = cz.region(r.Parent)
 	}
-	b := strconv.AppendQuote(cz.buf[:0], r.Name)
-	b = append(b, '!')
-	b = strconv.AppendInt(b, r.N, 10)
-	b = append(b, '!')
-	b = strconv.AppendInt(b, r.W, 10)
-	if r.Parent != nil {
-		b = append(b, '<')
-		b = append(b, parent...)
-	}
-	cz.buf = b
-	k := string(b)
-	cz.memo[r] = k
-	return k
+	i := int32(len(cz.regs))
+	cz.regs = append(cz.regs, creg{ptr: r, name: r.Name, n: r.N, w: r.W, parent: parent})
+	cz.byPtr[r] = i
+	return i
 }
 
-func boolKey(b bool) string {
-	if b {
-		return "1"
-	}
-	return "0"
-}
-
-// canon canonicalizes one subtree. It assumes the pattern validated.
-func (cz *canonicalizer) canon(p pattern.Pattern) *cnode {
-	n := cz.node()
+// canon canonicalizes one subtree and returns its node's index. It
+// assumes the pattern validated.
+func (cz *canonicalizer) canon(p pattern.Pattern) int32 {
+	var in instr
+	var r *region.Region
 	switch q := p.(type) {
 	case pattern.STrav:
-		u := pattern.Used(q.U, q.R)
-		*n = cnode{op: opSTrav, reg: q.R, u: u, noSeq: q.NoSeq,
-			key: "st(" + cz.regKey(q.R) + ";" + strconv.FormatInt(u, 10) + ";" + boolKey(q.NoSeq) + ")"}
+		in, r = instr{Op: opSTrav, U: pattern.Used(q.U, q.R), NoSeq: q.NoSeq}, q.R
 	case pattern.RSTrav:
-		u := pattern.Used(q.U, q.R)
-		*n = cnode{op: opRSTrav, reg: q.R, u: u, a: q.Repeats, dir: q.Dir, noSeq: q.NoSeq,
-			key: "rst(" + cz.regKey(q.R) + ";" + strconv.FormatInt(u, 10) + ";" +
-				strconv.FormatInt(q.Repeats, 10) + ";" + q.Dir.String() + ";" + boolKey(q.NoSeq) + ")"}
+		in, r = instr{Op: opRSTrav, U: pattern.Used(q.U, q.R), A: q.Repeats, Dir: q.Dir, NoSeq: q.NoSeq}, q.R
 	case pattern.RTrav:
-		u := pattern.Used(q.U, q.R)
-		*n = cnode{op: opRTrav, reg: q.R, u: u,
-			key: "rt(" + cz.regKey(q.R) + ";" + strconv.FormatInt(u, 10) + ")"}
+		in, r = instr{Op: opRTrav, U: pattern.Used(q.U, q.R)}, q.R
 	case pattern.RRTrav:
-		u := pattern.Used(q.U, q.R)
-		*n = cnode{op: opRRTrav, reg: q.R, u: u, a: q.Repeats,
-			key: "rrt(" + cz.regKey(q.R) + ";" + strconv.FormatInt(u, 10) + ";" +
-				strconv.FormatInt(q.Repeats, 10) + ")"}
+		in, r = instr{Op: opRRTrav, U: pattern.Used(q.U, q.R), A: q.Repeats}, q.R
 	case pattern.RAcc:
-		u := pattern.Used(q.U, q.R)
-		*n = cnode{op: opRAcc, reg: q.R, u: u, a: q.Count,
-			key: "ra(" + cz.regKey(q.R) + ";" + strconv.FormatInt(u, 10) + ";" +
-				strconv.FormatInt(q.Count, 10) + ")"}
+		in, r = instr{Op: opRAcc, U: pattern.Used(q.U, q.R), A: q.Count}, q.R
 	case pattern.Nest:
-		u := pattern.Used(q.U, q.R)
 		// Normalize don't-care fields so spurious differences do not
 		// split cache entries: Count only matters for an r_acc inner
 		// pattern; Order and NoSeq only for an s_trav inner pattern.
@@ -403,10 +462,8 @@ func (cz *canonicalizer) canon(p pattern.Pattern) *cnode {
 		if q.Inner != pattern.InnerSTrav {
 			order, noSeq = pattern.OrderRandom, false
 		}
-		*n = cnode{op: opNest, reg: q.R, u: u, a: count, m: q.M, order: order, inner: q.Inner, noSeq: noSeq,
-			key: "nst(" + cz.regKey(q.R) + ";" + strconv.FormatInt(u, 10) + ";" +
-				strconv.FormatInt(q.M, 10) + ";" + q.Inner.String() + ";" +
-				strconv.FormatInt(count, 10) + ";" + order.String() + ";" + boolKey(noSeq) + ")"}
+		in, r = instr{Op: opNest, U: pattern.Used(q.U, q.R), A: count, M: q.M,
+			Order: order, Inner: q.Inner, NoSeq: noSeq}, q.R
 	case pattern.Seq:
 		// ⊕ is associative: flatten nested Seq nodes. (⊙ is *not*
 		// flattened — nested concurrent groups divide the cache
@@ -414,88 +471,45 @@ func (cz *canonicalizer) canon(p pattern.Pattern) *cnode {
 		// the IR matches the tree walker exactly.) Nested Seq operands
 		// splice their children straight into this node, so no
 		// intermediate ⊕ node or child list is built.
-		*n = cnode{op: opSeq}
-		cz.flattenSeq(n, q)
-		n.size = compoundSize(n.kids)
+		base := len(cz.stack)
+		cz.flattenSeq(q)
 		cz.nFoot++ // fMax
-		return n
+		return cz.compound(opSeq, base)
 	case pattern.Conc:
 		// ⊙ is commutative: every term of the model (miss sums,
 		// footprint shares, max-merged result states) is independent
-		// of operand order, so sort children by canonical key.
-		*n = cnode{op: opConc, kids: make([]*cnode, 0, len(q))}
+		// of operand order, so sort children by canonical rendering —
+		// compared in place, without rendering either (tree.compare).
+		base := len(cz.stack)
 		for _, sub := range q {
 			k := cz.canon(sub)
-			k.render()
-			n.kids = append(n.kids, k)
+			cz.stack = append(cz.stack, k)
 		}
-		slices.SortStableFunc(n.kids, func(a, b *cnode) int { return strings.Compare(a.key, b.key) })
-		n.size = compoundSize(n.kids)
-		cz.nInstrs += len(n.kids) + 1 // opConc, opNext between children, opEnd
-		cz.nFoot += len(n.kids) + 1   // fStore per child, fSum
-		return n
+		slices.SortStableFunc(cz.stack[base:], cz.cmp)
+		cz.nInstrs += len(q) + 1 // opConc, opNext between children, opEnd
+		cz.nFoot += len(q) + 1   // fStore per child, fSum
+		return cz.compound(opConc, base)
 	default:
 		panic(fmt.Sprintf("costir: unknown pattern type %T", p))
 	}
 	// A basic pattern: one instruction and one footprint instruction.
-	n.size = len(n.key)
+	in.Reg = cz.region(r)
 	cz.nInstrs++
 	cz.nFoot++
-	return n
+	return cz.add(cnode{in: in})
 }
 
-// flattenSeq appends the canonical operands of q to n's children,
+// flattenSeq pushes the canonical operands of q on the stack,
 // descending into nested Seq operands in place.
-func (cz *canonicalizer) flattenSeq(n *cnode, q pattern.Seq) {
+func (cz *canonicalizer) flattenSeq(q pattern.Seq) {
 	for _, sub := range q {
 		if inner, ok := sub.(pattern.Seq); ok {
-			cz.flattenSeq(n, inner)
+			cz.flattenSeq(inner)
 			continue
 		}
-		n.kids = append(n.kids, cz.canon(sub))
+		k := cz.canon(sub)
+		cz.stack = append(cz.stack, k)
 	}
-}
-
-// compoundSize is the rendered length of a compound node over kids:
-// an operator symbol, parentheses, the children and their separators.
-func compoundSize(kids []*cnode) int {
-	size := len("+()") + len(kids) - 1
-	for _, k := range kids {
-		size += k.size
-	}
-	return size
-}
-
-// render returns the node's canonical rendering, writing it (once) in
-// a single pass over the subtree: a compound node renders as
-// sym(child,child,...) with sym "+" for ⊕ and "*" for ⊙.
-func (n *cnode) render() string {
-	if n.key == "" {
-		var b strings.Builder
-		b.Grow(n.size)
-		n.writeKey(&b)
-		n.key = b.String()
-	}
-	return n.key
-}
-
-func (n *cnode) writeKey(b *strings.Builder) {
-	if n.key != "" {
-		b.WriteString(n.key)
-		return
-	}
-	if n.op == opSeq {
-		b.WriteString("+(")
-	} else {
-		b.WriteString("*(")
-	}
-	for i, k := range n.kids {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		k.writeKey(b)
-	}
-	b.WriteByte(')')
 }
 
 // regID is a region's canonical identity with its parent chain already
@@ -509,9 +523,9 @@ type regID struct {
 
 // compiler lowers a canonical tree into the two instruction streams.
 type compiler struct {
+	t       *tree
 	regions []RegionInfo
-	regPtr  map[*region.Region]int32 // region pointer -> dense index
-	regIdx  map[regID]int32          // canonical identity -> dense index
+	regIdx  map[regID]int32 // canonical identity -> dense index
 
 	instrs    []instr
 	foot      []footInstr
@@ -522,24 +536,34 @@ type compiler struct {
 	footSP, footMax int
 }
 
-// regIndex interns a region (and, first, its ancestor chain) into the
-// dense table, deduplicating by canonical identity.
-func (c *compiler) regIndex(r *region.Region) int32 {
-	if idx, ok := c.regPtr[r]; ok {
-		return idx
-	}
+// identity returns the canonical identity of region r, whose parent
+// (if any) the compiler has interned.
+func (t *tree) identity(r *creg) regID {
 	parent := int32(-1)
-	if r.Parent != nil {
-		parent = c.regIndex(r.Parent)
+	if r.parent >= 0 {
+		parent = t.regs[r.parent].idx - 1
 	}
-	id := regID{name: r.Name, n: r.N, w: r.W, parent: parent}
+	return regID{name: r.name, n: r.n, w: r.w, parent: parent}
+}
+
+// regIndex interns the tree's region ri (and, first, its ancestor
+// chain) into the dense table, deduplicating by canonical identity.
+func (c *compiler) regIndex(ri int32) int32 {
+	r := &c.t.regs[ri]
+	if r.idx > 0 {
+		return r.idx - 1
+	}
+	if r.parent >= 0 {
+		c.regIndex(r.parent)
+	}
+	id := c.t.identity(r)
 	idx, ok := c.regIdx[id]
 	if !ok {
 		idx = int32(len(c.regions))
-		c.regions = append(c.regions, RegionInfo{Name: r.Name, N: r.N, W: r.W, Parent: parent})
+		c.regions = append(c.regions, RegionInfo{Name: r.name, N: r.n, W: r.w, Parent: id.parent})
 		c.regIdx[id] = idx
 	}
-	c.regPtr[r] = idx
+	r.idx = idx + 1
 	return idx
 }
 
@@ -556,25 +580,26 @@ func (c *compiler) pushFoot(fi footInstr) {
 	}
 }
 
-func (c *compiler) emit(n *cnode) {
-	switch n.op {
+func (c *compiler) emit(ni int32) {
+	n := &c.t.nodes[ni]
+	switch n.in.Op {
 	case opSeq:
 		// ⊕ emits no instruction: consecutive instructions thread the
 		// cache state exactly as Eq. 5.2 folds it. Footprint of ⊕ is
 		// the max over children (one runs at a time).
-		for _, k := range n.kids {
+		for _, k := range c.t.children(n) {
 			c.emit(k)
 		}
-		c.pushFoot(footInstr{Op: fMax, N: int32(len(n.kids))})
+		c.pushFoot(footInstr{Op: fMax, N: n.nKids})
 	case opConc:
 		slot0 := c.nSlots
-		c.nSlots += int32(len(n.kids))
-		c.instrs = append(c.instrs, instr{Op: opConc, Reg: slot0, N: int32(len(n.kids))})
+		c.nSlots += n.nKids
+		c.instrs = append(c.instrs, instr{Op: opConc, Reg: slot0, N: n.nKids})
 		c.depth++
 		if c.depth > c.maxDepth {
 			c.maxDepth = c.depth
 		}
-		for i, k := range n.kids {
+		for i, k := range c.t.children(n) {
 			if i > 0 {
 				c.instrs = append(c.instrs, instr{Op: opNext})
 			}
@@ -585,21 +610,19 @@ func (c *compiler) emit(n *cnode) {
 		}
 		c.instrs = append(c.instrs, instr{Op: opEnd})
 		c.depth--
-		c.pushFoot(footInstr{Op: fSum, N: int32(len(n.kids))})
+		c.pushFoot(footInstr{Op: fSum, N: n.nKids})
 	default:
-		ri := c.regIndex(n.reg)
-		c.instrs = append(c.instrs, instr{
-			Op: n.op, Reg: ri, U: n.u, A: n.a, M: n.m,
-			Dir: n.dir, Order: n.order, Inner: n.inner, NoSeq: n.noSeq,
-		})
+		in := n.in
+		in.Reg = c.regIndex(in.Reg)
+		c.instrs = append(c.instrs, in)
 		c.numBasics++
-		switch n.op {
+		switch in.Op {
 		case opSTrav:
 			c.pushFoot(footInstr{Op: fOne})
 		case opRTrav:
-			c.pushFoot(footInstr{Op: fRTrav, Reg: ri, U: n.u})
+			c.pushFoot(footInstr{Op: fRTrav, Reg: in.Reg, U: in.U})
 		default:
-			c.pushFoot(footInstr{Op: fLines, Reg: ri})
+			c.pushFoot(footInstr{Op: fLines, Reg: in.Reg})
 		}
 	}
 }

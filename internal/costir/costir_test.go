@@ -1,6 +1,8 @@
 package costir
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -314,6 +316,61 @@ func TestConcurrentEvaluate(t *testing.T) {
 						errc <- errMismatch(hi, li)
 						return
 					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errc)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Concurrent compiles share the canonicalizer free list: goroutines
+// compiling and keying different patterns at once, with trees of very
+// different sizes passing canonicalizers back and forth, must each get
+// exactly the program and key a lone compile gives.
+func TestConcurrentCompile(t *testing.T) {
+	u := region.New("U", 1<<16, 16)
+	pats := []pattern.Pattern{
+		engine.QuickSortPattern(u, 4<<10),
+		pattern.Seq{pattern.STrav{R: u.Sub(1, 3)}, pattern.RTrav{R: region.New("V", 1<<12, 8)}},
+		engine.PartitionedHashJoinPattern(u, region.New("V", 1<<14, 16), region.New("W", 1<<15, 16), 16),
+		pattern.Conc{pattern.RAcc{R: u, Count: 100}, pattern.STrav{R: u}},
+	}
+	h := hardware.ModernX86()
+	wantKey := make([]string, len(pats))
+	wantMiss := make([][]Misses, len(pats))
+	for i, p := range pats {
+		prog := mustCompile(t, p)
+		wantKey[i], wantMiss[i] = prog.Canonical(), prog.Evaluate(h, nil)
+	}
+
+	const goroutines = 8
+	const rounds = 20
+	var wg sync.WaitGroup
+	errc := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				k := (g + i) % len(pats)
+				key, err := CanonicalKey(pats[k])
+				if err != nil {
+					errc <- err
+					return
+				}
+				prog, err := Compile(pats[k])
+				if err != nil {
+					errc <- err
+					return
+				}
+				if key != wantKey[k] || prog.Canonical() != wantKey[k] ||
+					!slices.Equal(prog.Evaluate(h, nil), wantMiss[k]) {
+					errc <- fmt.Errorf("goroutine %d, round %d: pattern %d compiled differently", g, i, k)
+					return
 				}
 			}
 		}(g)

@@ -135,14 +135,15 @@ func TestRelatedMatchesParentWalk(t *testing.T) {
 // builds: a 64 MB quick-sort pruned at 32 KB (~2,000 ⊙ groups under ⊕
 // nested 11 deep). The count depends only on the program, not on the
 // machine. Re-rendering each nested ⊕ at every level and each region
-// key twice cost 5.5 allocations per instruction; single-pass
-// rendering, identity-interned regions and slab-allocated tree nodes
-// leave about one.
+// key twice cost 5.5 allocations per instruction; rendering each node
+// and region key once, about one. Canonicalizing by structure into
+// reused index arrays renders nothing and leaves only the program's
+// own arrays: a handful of allocations for ~20,000 instructions.
 func TestCompileAllocsPerInstruction(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const maxPerInstr = 1.5
+	const maxPerInstr = 0.01
 	p := engine.QuickSortPattern(region.New("U", 1<<22, 16), 32<<10)
 	prog := mustCompile(t, p)
 	allocs := testing.AllocsPerRun(5, func() {
@@ -176,6 +177,31 @@ func TestNameRanksFollowStringOrder(t *testing.T) {
 			if (na < nb) != (ra < rb) || (na == nb) != (ra == rb) {
 				t.Errorf("names %q, %q have ranks %d, %d", na, nb, ra, rb)
 			}
+		}
+	}
+}
+
+// TestReleaseEmptiesMaps: a released canonicalizer keeps no key of the
+// pattern it served, whether its maps were cleared whole (a tree as
+// large as any before) or key by key (a tree far smaller than the
+// largest it has held), so a reused one cannot resolve a region of one
+// pattern to an index of another.
+func TestReleaseEmptiesMaps(t *testing.T) {
+	big := engine.QuickSortPattern(region.New("U", 1<<22, 16), 32<<10)
+	small := pattern.Seq{
+		pattern.STrav{R: region.New("V", 1<<10, 8).Sub(1, 4)},
+		pattern.RTrav{R: region.New("W", 1<<12, 8)},
+	}
+	for i, p := range []pattern.Pattern{big, small, big, small, small} {
+		cz, err := canonicalize(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cz.compile()
+		byPtr, regIdx := cz.byPtr, cz.regIdx
+		cz.release()
+		if len(byPtr) != 0 || len(regIdx) != 0 {
+			t.Errorf("pattern %d: released with %d pointer and %d identity keys left", i, len(byPtr), len(regIdx))
 		}
 	}
 }

@@ -149,18 +149,21 @@ func price(h *hardware.Hierarchy, prune int64, t *Plan, seen map[string]bool) (C
 	if err != nil {
 		return CostedPlan{}, false, fmt.Errorf("queryplan: lowering plan %s: %w", t.Signature(), err)
 	}
-	// One canonicalization yields both the dedup key and the program.
-	prog, err := costir.CompileIf(pat, func(canon string) bool {
-		if seen == nil {
+	// One canonicalization yields both the dedup key and the program;
+	// without a seen set no key is rendered at all.
+	var prog *costir.Program
+	if seen == nil {
+		prog, err = costir.Compile(pat)
+	} else {
+		prog, err = costir.CompileIf(pat, func(canon string) bool {
+			key := fmt.Sprintf("%s|%.17g", canon, cpuNS)
+			if seen[key] {
+				return false
+			}
+			seen[key] = true
 			return true
-		}
-		key := fmt.Sprintf("%s|%.17g", canon, cpuNS)
-		if seen[key] {
-			return false
-		}
-		seen[key] = true
-		return true
-	})
+		})
+	}
 	if err != nil {
 		return CostedPlan{}, false, fmt.Errorf("queryplan: compiling plan %s: %w", t.Signature(), err)
 	}

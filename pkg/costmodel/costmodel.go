@@ -180,3 +180,12 @@ func Compile(p Pattern) (*CompiledPattern, error) { return costir.Compile(p) }
 // CanonicalPattern returns the canonical form of p without compiling
 // the full program — the key Compile-result caches should intern on.
 func CanonicalPattern(p Pattern) (string, error) { return costir.CanonicalKey(p) }
+
+// CompileIf canonicalizes p once, hands its canonical form to keep and
+// compiles it only if keep returns true; otherwise the program is nil.
+// A compile cache looks the key up inside keep and, on a miss, gets
+// the program from the same canonicalization — CanonicalPattern
+// followed by Compile would canonicalize twice.
+func CompileIf(p Pattern, keep func(key string) bool) (*CompiledPattern, error) {
+	return costir.CompileIf(p, keep)
+}

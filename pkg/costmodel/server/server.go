@@ -307,9 +307,14 @@ func (s *Server) EvaluateBatch(reqs []EvalRequest) []*EvalResult {
 	var leaders []int
 	for i := range reqs {
 		followOf[i] = -1
-		p, canon, errRes := s.parseRequest(reqs[i])
+		p, errRes := s.parseRequest(reqs[i])
 		if errRes != nil {
 			results[i] = errRes
+			continue
+		}
+		canon, err := costmodel.CanonicalPattern(p)
+		if err != nil {
+			results[i] = canonError(reqs[i], p, err)
 			continue
 		}
 		key := s.resultKey(reqs[i], p, canon)
@@ -364,36 +369,38 @@ func (s *Server) EvaluateBatch(reqs []EvalRequest) []*EvalResult {
 }
 
 // parseRequest validates and parses one request's regions and pattern
-// text and canonicalizes the pattern. A non-nil errRes is the exact
-// error result Evaluate returns for the malformed request.
-func (s *Server) parseRequest(req EvalRequest) (p costmodel.Pattern, canon string, errRes *EvalResult) {
+// text. A non-nil errRes is the exact error result Evaluate returns
+// for the malformed request.
+func (s *Server) parseRequest(req EvalRequest) (p costmodel.Pattern, errRes *EvalResult) {
 	if req.Profile == "" {
-		return nil, "", &EvalResult{Error: "missing profile"}
+		return nil, &EvalResult{Error: "missing profile"}
 	}
 	if req.Pattern == "" {
-		return nil, "", &EvalResult{Profile: req.Profile, Error: "missing pattern"}
+		return nil, &EvalResult{Profile: req.Profile, Error: "missing pattern"}
 	}
 	regions := make(map[string]*costmodel.Region, len(req.Regions))
 	for _, d := range req.Regions {
 		if d.Name == "" || d.Items < 0 || d.Width <= 0 {
-			return nil, "", &EvalResult{Profile: req.Profile,
+			return nil, &EvalResult{Profile: req.Profile,
 				Error: fmt.Sprintf("invalid region %q (items=%d, width=%d)", d.Name, d.Items, d.Width)}
 		}
 		if _, dup := regions[d.Name]; dup {
-			return nil, "", &EvalResult{Profile: req.Profile,
+			return nil, &EvalResult{Profile: req.Profile,
 				Error: fmt.Sprintf("region %q declared twice", d.Name)}
 		}
 		regions[d.Name] = costmodel.NewRegion(d.Name, d.Items, d.Width)
 	}
 	p, err := costmodel.ParsePattern(req.Pattern, regions)
 	if err != nil {
-		return nil, "", &EvalResult{Profile: req.Profile, Error: err.Error()}
+		return nil, &EvalResult{Profile: req.Profile, Error: err.Error()}
 	}
-	canon, err = costmodel.CanonicalPattern(p)
-	if err != nil {
-		return nil, "", &EvalResult{Profile: req.Profile, Pattern: p.String(), Error: err.Error()}
-	}
-	return p, canon, nil
+	return p, nil
+}
+
+// canonError is the result for a parsed pattern that fails to
+// canonicalize (it does not validate).
+func canonError(req EvalRequest, p costmodel.Pattern, err error) *EvalResult {
+	return &EvalResult{Profile: req.Profile, Pattern: p.String(), Error: err.Error()}
 }
 
 // resultKey is the result-cache (and in-batch dedup) key: the
@@ -421,26 +428,37 @@ func (s *Server) resultKey(req EvalRequest, p costmodel.Pattern, canon string) s
 // Cache misses run on the server's bounded worker pool, so Workers
 // bounds concurrency for single requests and batches alike.
 func (s *Server) Evaluate(req EvalRequest) *EvalResult {
-	p, canon, errRes := s.parseRequest(req)
+	p, errRes := s.parseRequest(req)
 	if errRes != nil {
 		return errRes
 	}
-	key := s.resultKey(req, p, canon)
-	res, cached := (*EvalResult)(nil), false
-	if s.cache != nil {
-		if hit, ok := s.cache.get(key); ok {
-			res, cached = hit.clone(), true
-			res.Pattern = p.String()
-			s.resultHits.Add(1)
+	// One canonicalization serves the result-cache lookup, the
+	// compile-cache lookup and, on a miss in both, the compile.
+	var (
+		canon, key string
+		res        *EvalResult
+		prog       *costmodel.CompiledPattern
+	)
+	compiled, err := costmodel.CompileIf(p, func(c string) bool {
+		canon, key = c, s.resultKey(req, p, c)
+		if res = s.cachedResult(key); res != nil {
+			return false
 		}
+		prog = s.cachedProgram(canon)
+		return prog == nil
+	})
+	if err != nil {
+		return canonError(req, p, err)
 	}
-	if res == nil {
-		if s.cache != nil {
-			s.resultMisses.Add(1)
-		}
-		prog, err := s.compile(canon, p)
-		if err != nil {
-			return &EvalResult{Profile: req.Profile, Pattern: p.String(), Error: err.Error()}
+	cached := res != nil
+	if cached {
+		res.Pattern = p.String()
+	} else {
+		if compiled != nil {
+			prog = compiled
+			if s.compileCache != nil {
+				s.compileCache.put(canon, prog)
+			}
 		}
 		s.sem <- struct{}{}
 		res = s.evaluate(req, p, prog)
@@ -456,24 +474,32 @@ func (s *Server) Evaluate(req EvalRequest) *EvalResult {
 	return res
 }
 
-// compile interns compiled patterns by canonical form. Hits share one
-// immutable program across requests, batches and profiles.
-func (s *Server) compile(canon string, p costmodel.Pattern) (*costmodel.CompiledPattern, error) {
+// cachedResult returns a private copy of the cached result under key,
+// or nil on a miss, counting either.
+func (s *Server) cachedResult(key string) *EvalResult {
+	if s.cache == nil {
+		return nil
+	}
+	if hit, ok := s.cache.get(key); ok {
+		s.resultHits.Add(1)
+		return hit.clone()
+	}
+	s.resultMisses.Add(1)
+	return nil
+}
+
+// cachedProgram returns the program interned under a canonical form,
+// or nil on a miss, counting either. Hits share one immutable program
+// across requests, batches and profiles.
+func (s *Server) cachedProgram(canon string) *costmodel.CompiledPattern {
 	if s.compileCache != nil {
 		if hit, ok := s.compileCache.get(canon); ok {
 			s.compileHits.Add(1)
-			return hit, nil
+			return hit
 		}
 	}
 	s.compileMisses.Add(1)
-	prog, err := costmodel.Compile(p)
-	if err != nil {
-		return nil, err
-	}
-	if s.compileCache != nil {
-		s.compileCache.put(canon, prog)
-	}
-	return prog, nil
+	return nil
 }
 
 // clone returns a copy sharing no mutable state with r.

@@ -550,6 +550,35 @@ func TestCompileCacheSharedAcrossProfiles(t *testing.T) {
 	}
 }
 
+// TestCompileMissInternsCanonicalProgram covers a compile-cache miss,
+// where the canonicalization that produced the cache key also yields
+// the compiled program: the miss must evaluate exactly like the direct
+// model, and intern its program under the canonical form, so a later
+// spelling with the same canonical form (⊙ operands swapped, on
+// another profile, with the result cache off) is a compile-cache hit
+// with the same answer as its own direct evaluation.
+func TestCompileMissInternsCanonicalProgram(t *testing.T) {
+	srv, _ := newTestServer(t, server.Config{Workers: 1, CacheSize: -1})
+	regions := []server.RegionDecl{{Name: "U", Items: 1 << 16, Width: 16}, {Name: "V", Items: 1 << 12, Width: 8}}
+	for i, req := range []server.EvalRequest{
+		{Profile: "origin2000", Regions: regions, Pattern: "s_trav(U) (.) r_trav(V)"},
+		{Profile: "modern-x86", Regions: regions, Pattern: "r_trav(V) (.) s_trav(U)"},
+	} {
+		res := srv.Evaluate(req)
+		if res.Error != "" || res.Cached {
+			t.Fatalf("request %d: %+v", i, res)
+		}
+		memNS, _ := directResult(t, req)
+		if res.MemoryNS != memNS {
+			t.Errorf("request %d: memory_ns = %g, direct evaluation = %g", i, res.MemoryNS, memNS)
+		}
+		st := srv.CompileCacheStats()
+		if st.Misses != 1 || st.Hits != uint64(i) || st.Entries != 1 {
+			t.Errorf("after request %d: compile cache %+v, want 1 miss, %d hits, 1 entry", i, st, i)
+		}
+	}
+}
+
 // TestHealthzCompileCacheCounters: the counters surface on /healthz.
 func TestHealthzCompileCacheCounters(t *testing.T) {
 	srv, ts := newTestServer(t, server.Config{Workers: 1})
