@@ -78,18 +78,6 @@ func New(h *hardware.Hierarchy) (*Model, error) {
 	return m, nil
 }
 
-// MustNew is New, panicking on error (tests and fixed built-in profiles).
-func MustNew(h *hardware.Hierarchy) *Model {
-	m, err := New(h)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Hierarchy returns the modeled hierarchy.
-func (m *Model) Hierarchy() *hardware.Hierarchy { return m.hier }
-
 // levelResult accumulates one level's expectations in float64; Result
 // rounds them into cachesim.Stats on demand.
 type levelResult struct {
@@ -142,12 +130,6 @@ func (r *Result) AllStats() []cachesim.Stats {
 		out[i] = r.Stats(i)
 	}
 	return out
-}
-
-// MissesNS returns level i's expected (seq, rnd) miss counts without
-// rounding — what the cross-check against the trace simulator compares.
-func (r *Result) MissesNS(i int) (seq, rnd float64) {
-	return r.levels[i].seqMiss, r.levels[i].rndMiss
 }
 
 // MemoryTimeNS scores the expected misses with the hierarchy's

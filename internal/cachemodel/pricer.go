@@ -30,7 +30,6 @@ import (
 // any number of Pricer invocations and hierarchies.
 type PreparedPattern struct {
 	phases []phase
-	src    pattern.Pattern
 }
 
 // Prepare validates and flattens p once. The returned PreparedPattern
@@ -39,11 +38,8 @@ func Prepare(p pattern.Pattern) (*PreparedPattern, error) {
 	if err := pattern.Validate(p); err != nil {
 		return nil, fmt.Errorf("cachemodel: %w", err)
 	}
-	return &PreparedPattern{phases: flatten(p), src: p}, nil
+	return &PreparedPattern{phases: flatten(p)}, nil
 }
-
-// Pattern returns the source pattern.
-func (pp *PreparedPattern) Pattern() pattern.Pattern { return pp.src }
 
 // Pricer prices prepared patterns on one model, reusing its analysis
 // buffers and integration memo across calls. It is NOT safe for
@@ -62,9 +58,6 @@ func (m *Model) NewPricer() *Pricer {
 	}}
 }
 
-// Model returns the model the pricer is bound to.
-func (pr *Pricer) Model() *Model { return pr.m }
-
 // Price prices a prepared pattern, allocating a fresh Result.
 func (pr *Pricer) Price(prep *PreparedPattern) *Result {
 	res := &Result{}
@@ -79,10 +72,6 @@ func (pr *Pricer) Price(prep *PreparedPattern) *Result {
 func (pr *Pricer) PriceInto(prep *PreparedPattern, res *Result) {
 	pr.m.priceInto(&pr.az, prep, res)
 }
-
-// MemoLen returns the number of memoized integration results (for
-// tests and capacity diagnostics).
-func (pr *Pricer) MemoLen() int { return len(pr.az.memo) }
 
 // stackEntry is one resident root region on the symbolic region stack.
 type stackEntry struct {

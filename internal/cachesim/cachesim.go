@@ -260,9 +260,6 @@ func (s *Simulator) Freeze() { s.frozen = true }
 // Thaw resumes counting after Freeze.
 func (s *Simulator) Thaw() { s.frozen = false }
 
-// Frozen reports whether the simulator is currently ignoring accesses.
-func (s *Simulator) Frozen() bool { return s.frozen }
-
 // Reset clears all cache contents and counters.
 func (s *Simulator) Reset() {
 	for _, l := range s.levels {
@@ -309,33 +306,6 @@ func (s *Simulator) MemoryTimeNS() float64 {
 			float64(l.stats.RndMisses)*l.spec.RndMissLatency
 	}
 	return t
-}
-
-// Contains reports whether the line holding addr is currently resident at
-// level i (used by tests to probe simulator state).
-func (s *Simulator) Contains(i int, addr vmem.Addr) bool {
-	l := s.levels[i]
-	lineAddr := uint64(addr) >> l.lineShift
-	tag := lineAddr + 1
-	set := (lineAddr & l.setMask) * uint64(l.ways)
-	for w := uint64(0); w < uint64(l.ways); w++ {
-		if l.tags[set+w] == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// ResidentLines returns how many valid lines level i currently holds.
-func (s *Simulator) ResidentLines(i int) int {
-	l := s.levels[i]
-	n := 0
-	for _, t := range l.tags {
-		if t != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // String summarizes all counters.

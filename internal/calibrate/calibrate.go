@@ -12,10 +12,10 @@
 //     levels whose line size is the page size — precisely the paper's
 //     unified treatment.
 //
-//   - Host: the same sweeps against real memory with wall-clock timing.
-//     Under a garbage-collected runtime this is noisy (the reason this
-//     reproduction validates against a simulator); results are
-//     best-effort estimates.
+//   - Host (Run with a nil Source): the same sweeps against real memory
+//     with wall-clock timing. Under a garbage-collected runtime this is
+//     noisy (the reason this reproduction validates against a
+//     simulator); results are best-effort estimates.
 //
 // Measurement orders exploit LRU determinism: repeated same-direction
 // sweeps over a footprint larger than a cache get zero reuse, so every
@@ -66,7 +66,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Run performs the three-phase discovery described by opts. It is the
-// context-aware entry point behind Simulated and Host: cancellation is
+// context-aware entry point behind Simulated and the host mode: cancellation is
 // checked between measurement sweeps (the unit of work), so a calibration
 // launched by a server request stops promptly when the caller gives up.
 // On cancellation the context's error is returned and the partial result

@@ -95,7 +95,10 @@ func TestHostCalibratorRunsAndIsSane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock measurement")
 	}
-	res := Host(1<<22, 2)
+	res, err := Run(context.Background(), Options{MaxFootprint: 1 << 22})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// We cannot assert the host's real cache parameters, only sanity:
 	// capacities strictly increasing, line sizes positive, latencies
 	// non-negative with rnd ≥ seq.

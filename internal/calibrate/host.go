@@ -1,7 +1,6 @@
 package calibrate
 
 import (
-	"context"
 	"runtime"
 	"time"
 )
@@ -65,16 +64,4 @@ func (p *hostProber) cost(size, stride int64, rounds int, ord order) float64 {
 	elapsed := time.Since(start)
 	p.sink = sink
 	return float64(elapsed.Nanoseconds()) / float64(rounds) / float64(count)
-}
-
-// Host runs the calibration sweeps against the host machine. The result
-// is a best-effort estimate: loop overhead is not subtracted and the
-// runtime adds noise, so latencies are upper bounds and small caches may
-// be missed entirely. maxFootprint should be at least 4x the largest
-// cache of interest. It is Run without cancellation.
-func Host(maxFootprint int64, rounds int) *Result {
-	p := newHostProber(maxFootprint)
-	_ = rounds // the shared discovery uses its own round count
-	res, _ := discover(context.Background(), p)
-	return res
 }

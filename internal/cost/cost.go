@@ -67,7 +67,8 @@ func (r *Result) MemoryTimeNS() float64 {
 	return t
 }
 
-// TotalMisses returns the summed miss pair for the named level.
+// Level returns the per-level result for the named level, and whether
+// the hierarchy has such a level.
 func (r *Result) Level(name string) (LevelResult, bool) {
 	for _, lr := range r.PerLevel {
 		if lr.Level.Name == name {

@@ -42,6 +42,29 @@ func TestCompileRejectsInvalidPatterns(t *testing.T) {
 	}
 }
 
+// TestRejectsUndeclaredEnums: an order, direction or inner kind outside
+// its declared constants renders as a declared one ("bi", "r_acc") but
+// is priced as something else, so it must not reach a cache key.
+func TestRejectsUndeclaredEnums(t *testing.T) {
+	u := region.New("U", 1<<22, 64)
+	for _, p := range []pattern.Pattern{
+		pattern.Nest{R: u, M: 65536, Inner: pattern.InnerSTrav, Order: pattern.Order(7)},
+		pattern.Nest{R: u, M: 64, Inner: pattern.InnerKind(9), Order: pattern.OrderRandom},
+		pattern.RSTrav{R: u, Repeats: 3, Dir: pattern.Direction(5)},
+		pattern.Seq{pattern.STrav{R: u}, pattern.RSTrav{R: u, Repeats: 3, Dir: pattern.Direction(-1)}},
+	} {
+		if err := pattern.Validate(p); err == nil {
+			t.Errorf("Validate(%v) succeeded, want error", p)
+		}
+		if _, err := Compile(p); err == nil {
+			t.Errorf("Compile(%v) succeeded, want error", p)
+		}
+		if _, err := CanonicalKey(p); err == nil {
+			t.Errorf("CanonicalKey(%v) succeeded, want error", p)
+		}
+	}
+}
+
 func TestCanonicalKeyMatchesCompile(t *testing.T) {
 	u := region.New("U", 1000, 16)
 	p := pattern.Seq{pattern.STrav{R: u}, pattern.RAcc{R: u, Count: 10}}

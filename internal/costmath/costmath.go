@@ -61,16 +61,6 @@ func Classify(count float64, seq bool) Misses {
 	return Misses{Rnd: count}
 }
 
-// Used resolves the bytes-used parameter against the item width: u if
-// set and sane, else the full width (the paper writes patterns without
-// u to mean "all bytes").
-func Used(u, w int64) int64 {
-	if u <= 0 || u > w {
-		return w
-	}
-	return u
-}
-
 // LinesPerItem returns the expected number of cache lines of size b
 // that an access to u consecutive bytes touches, averaged over all b
 // possible alignments of the item within a line (the paper's

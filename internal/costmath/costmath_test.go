@@ -41,20 +41,6 @@ func TestLevelScaled(t *testing.T) {
 	}
 }
 
-func TestUsedResolution(t *testing.T) {
-	for _, tc := range []struct{ u, w, want int64 }{
-		{0, 16, 16},   // unset: full width
-		{-3, 16, 16},  // negative: full width
-		{8, 16, 8},    // partial use
-		{16, 16, 16},  // exact
-		{100, 16, 16}, // oversized: clamped to width
-	} {
-		if got := Used(tc.u, tc.w); got != tc.want {
-			t.Errorf("Used(%d, %d) = %d, want %d", tc.u, tc.w, got, tc.want)
-		}
-	}
-}
-
 func TestLinesPerItem(t *testing.T) {
 	if got := LinesPerItem(0, 64); got != 0 {
 		t.Errorf("LinesPerItem(0) = %g", got)

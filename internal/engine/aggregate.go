@@ -5,11 +5,11 @@ import (
 	"repro/internal/vmem"
 )
 
-// Aggregation and duplicate elimination. The paper notes both are
+// Aggregation. The paper notes aggregation and duplicate elimination are
 // implemented via hashing or sorting and perform the respective access
-// patterns; we provide the hash-based variants (sequential input
-// traversal concurrent with random access to an aggregate/seen table)
-// and a sort-based dedup for comparison.
+// patterns; the engine runs hash aggregation (a sequential input
+// traversal concurrent with random access to an aggregate table).
+// HashDedupPattern and SortDedupPattern describe duplicate elimination.
 
 // AggTable is a hash-addressed aggregation table: buckets of
 // (key, count, sum) = 24 bytes.
@@ -64,17 +64,6 @@ func (a *AggTable) Add(key, value uint64) {
 	}
 }
 
-// Groups returns (unobserved) the number of non-empty buckets.
-func (a *AggTable) Groups() int64 {
-	var g int64
-	for b := int64(0); b < a.Reg.N; b++ {
-		if getU64(a.Mem.Raw(a.bucketAddr(uint64(b))+8, 8)) != 0 {
-			g++
-		}
-	}
-	return g
-}
-
 // HashAggregate groups in by key modulo groups (key % groups acts as the
 // grouping attribute) and sums the keys per group, returning the
 // aggregation table.
@@ -86,41 +75,4 @@ func HashAggregate(mem *vmem.Memory, in *Table, groups int64) *AggTable {
 		agg.Add(k%uint64(groups), k)
 	}
 	return agg
-}
-
-// HashDedup writes one representative tuple per distinct key of in to
-// out, returning the number of distinct keys. It uses a hash table as
-// the "seen" set.
-func HashDedup(mem *vmem.Memory, in, out *Table) int64 {
-	h := NewHashTable(mem, in.Reg.Name+"_seen", in.N())
-	var o int64
-	n := in.N()
-	for i := int64(0); i < n; i++ {
-		key := in.Key(i)
-		if h.Lookup(key) < 0 {
-			h.Insert(key, i)
-			out.CopyTuple(o, in, i)
-			o++
-		}
-	}
-	return o
-}
-
-// SortDedup sorts in in place and then writes one tuple per distinct key
-// to out, returning the distinct count. Its pattern is the quick-sort
-// pattern followed by two concurrent sequential traversals.
-func SortDedup(in, out *Table) int64 {
-	QuickSort(in)
-	var o int64
-	n := in.N()
-	var prev uint64
-	for i := int64(0); i < n; i++ {
-		k := in.Key(i)
-		if i == 0 || k != prev {
-			out.CopyTuple(o, in, i)
-			o++
-			prev = k
-		}
-	}
-	return o
 }

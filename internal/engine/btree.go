@@ -39,9 +39,6 @@ type BTree struct {
 // NodeWidth returns the byte width of one node.
 func (t *BTree) NodeWidth() int64 { return t.Fanout * BTreeEntryWidth }
 
-// Height returns the number of levels.
-func (t *BTree) Height() int { return len(t.Levels) }
-
 // BulkLoadBTree builds a B+-tree over the key-sorted table in with the
 // given fanout (entries per node, ≥ 2). Leaf entries are (key, rowID);
 // internal entries are (maxKeyOfChild, childIndex).
@@ -210,111 +207,5 @@ func BTreeLookupBatchPattern(levels []*region.Region, k int64) pattern.Pattern {
 	for _, lr := range levels {
 		conc = append(conc, pattern.RAcc{R: lr, Count: k})
 	}
-	return conc
-}
-
-// RangeScan visits all leaf entries with lo ≤ key ≤ hi in key order,
-// invoking emit(key, rowID) for each, and returns the number of entries
-// visited. It descends once to the first qualifying leaf and then
-// traverses leaves sequentially — the classic index-range pattern:
-// height random accesses followed by a partial sequential traversal of
-// the leaf level.
-func (t *BTree) RangeScan(lo, hi uint64, emit func(key uint64, row int64)) int64 {
-	if hi < lo {
-		return 0
-	}
-	nodeW := t.NodeWidth()
-	// Descend to the leaf that may hold lo.
-	node := int64(0)
-	for lvl := 0; lvl < len(t.Levels)-1; lvl++ {
-		base := t.bases[lvl] + vmem.Addr(node*nodeW)
-		t.Mem.Touch(base, nodeW)
-		entriesInNode := t.entriesIn(lvl, node)
-		next := int64(-1)
-		for s := int64(0); s < entriesInNode; s++ {
-			a := base + vmem.Addr(s*BTreeEntryWidth)
-			if lo <= getU64(t.Mem.Raw(a, 8)) {
-				next = int64(getU64(t.Mem.Raw(a+8, 8))) - 1
-				break
-			}
-		}
-		if next < 0 {
-			return 0 // lo beyond the largest key
-		}
-		node = next
-	}
-	// Sweep the leaf level from that node onwards.
-	leaf := len(t.Levels) - 1
-	var count int64
-	for ; node < t.Levels[leaf].N; node++ {
-		base := t.bases[leaf] + vmem.Addr(node*nodeW)
-		t.Mem.Touch(base, nodeW)
-		entriesInNode := t.entriesIn(leaf, node)
-		for s := int64(0); s < entriesInNode; s++ {
-			a := base + vmem.Addr(s*BTreeEntryWidth)
-			k := getU64(t.Mem.Raw(a, 8))
-			if k < lo {
-				continue
-			}
-			if k > hi {
-				return count
-			}
-			if emit != nil {
-				emit(k, int64(getU64(t.Mem.Raw(a+8, 8)))-1)
-			}
-			count++
-		}
-	}
-	return count
-}
-
-// RangeScanPattern describes a range scan covering `frac` of the keys:
-// one random access per level for the descent, concurrent-free, then a
-// sequential traversal of the qualifying fraction of the leaf region.
-func (t *BTree) RangeScanPattern(frac float64) pattern.Pattern {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	seq := pattern.Seq{}
-	for _, lr := range t.Levels[:len(t.Levels)-1] {
-		seq = append(seq, pattern.RAcc{R: lr, Count: 1})
-	}
-	leaf := t.Levels[len(t.Levels)-1]
-	n := int64(float64(leaf.N)*frac + 0.5)
-	if n < 1 {
-		n = 1
-	}
-	part := region.New(leaf.Name+"_range", n, leaf.W)
-	part.Parent = leaf
-	seq = append(seq, pattern.STrav{R: part})
-	return seq
-}
-
-// IndexNestedLoopJoin probes every key of u through the tree (built
-// over v's sorted key column) and appends matching u-tuples to out,
-// returning the match count.
-func IndexNestedLoopJoin(u *Table, idx *BTree, out *Table) int64 {
-	var o int64
-	n := u.N()
-	for i := int64(0); i < n; i++ {
-		if row := idx.Lookup(u.Key(i)); row >= 0 {
-			out.CopyTuple(o, u, i)
-			o++
-		}
-	}
-	return o
-}
-
-// IndexNestedLoopJoinPattern is s_trav(U) ⊙ ⊙_lvl r_acc(|U|, L_lvl) ⊙
-// s_trav(W).
-func IndexNestedLoopJoinPattern(u *region.Region, idx *BTree, w *region.Region) pattern.Pattern {
-	conc := pattern.Conc{pattern.STrav{R: u}}
-	for _, lr := range idx.Levels {
-		conc = append(conc, pattern.RAcc{R: lr, Count: u.N})
-	}
-	conc = append(conc, pattern.STrav{R: w})
 	return conc
 }

@@ -14,7 +14,7 @@ func buildTree(t *testing.T, n, fanout int64) (*vmem.Memory, *Table, *BTree) {
 	t.Helper()
 	mem := newMem()
 	tab := NewTable(mem, "V", n, 8, 32)
-	workload.FillSortedStep(tab, 3) // keys 0,3,6,...
+	FillSortedStep(tab, 3) // keys 0,3,6,...
 	tree := BulkLoadBTree(mem, "I", tab, fanout)
 	return mem, tab, tree
 }
@@ -46,8 +46,8 @@ func TestBTreeLookupMisses(t *testing.T) {
 func TestBTreeHeightAndLevelGeometry(t *testing.T) {
 	_, _, tree := buildTree(t, 4096, 16)
 	// 4096 leaves entries /16 = 256 leaf nodes, /16 = 16, /16 = 1: 3 levels.
-	if tree.Height() != 3 {
-		t.Fatalf("height = %d, want 3", tree.Height())
+	if len(tree.Levels) != 3 {
+		t.Fatalf("height = %d, want 3", len(tree.Levels))
 	}
 	if tree.Levels[0].N != 1 {
 		t.Errorf("root level has %d nodes", tree.Levels[0].N)
@@ -62,8 +62,8 @@ func TestBTreeHeightAndLevelGeometry(t *testing.T) {
 
 func TestBTreeSingleNode(t *testing.T) {
 	_, tab, tree := buildTree(t, 3, 8)
-	if tree.Height() != 1 {
-		t.Fatalf("height = %d, want 1", tree.Height())
+	if len(tree.Levels) != 1 {
+		t.Fatalf("height = %d, want 1", len(tree.Levels))
 	}
 	if got := tree.Lookup(tab.RawKey(2)); got != 2 {
 		t.Errorf("Lookup = %d", got)
@@ -76,20 +76,6 @@ func TestBTreePanics(t *testing.T) {
 	assertPanic(t, "fanout 1", func() { BulkLoadBTree(mem, "I", tab, 1) })
 	empty := NewTable(mem, "E", 0, 8, 32)
 	assertPanic(t, "empty", func() { BulkLoadBTree(mem, "I", empty, 4) })
-}
-
-func TestIndexNestedLoopJoin(t *testing.T) {
-	mem := newMem()
-	v := NewTable(mem, "V", 1000, 8, 32)
-	workload.FillSortedStep(v, 2) // 0,2,...,1998
-	tree := BulkLoadBTree(mem, "I", v, 8)
-	u := NewTable(mem, "U", 500, 8, 32)
-	workload.FillSortedStep(u, 3) // 0,3,...,1497
-	out := NewTable(mem, "W", 500, 8, 32)
-	// Matches: multiples of 6 up to 1497 → 0,6,...,1494 → 250.
-	if got := IndexNestedLoopJoin(u, tree, out); got != 250 {
-		t.Errorf("matches = %d, want 250", got)
-	}
 }
 
 // TestBTreeLookupModelAgreement runs a batch of random lookups under the
@@ -142,59 +128,6 @@ func TestBTreeLookupModelAgreement(t *testing.T) {
 	leaf := tree.Levels[len(tree.Levels)-1]
 	if leaf.Size() <= h.Levels[1].Capacity {
 		t.Fatalf("test setup: leaf level should exceed L2 (%d bytes)", leaf.Size())
-	}
-}
-
-func TestBTreeRangeScan(t *testing.T) {
-	_, _, tree := buildTree(t, 1000, 8) // keys 0,3,...,2997
-	var keys []uint64
-	n := tree.RangeScan(300, 330, func(k uint64, row int64) {
-		keys = append(keys, k)
-		if int64(k) != row*3 {
-			t.Errorf("row %d for key %d", row, k)
-		}
-	})
-	want := []uint64{300, 303, 306, 309, 312, 315, 318, 321, 324, 327, 330}
-	if n != int64(len(want)) {
-		t.Fatalf("visited %d entries, want %d", n, len(want))
-	}
-	for i, k := range keys {
-		if k != want[i] {
-			t.Fatalf("entry %d = %d, want %d", i, k, want[i])
-		}
-	}
-}
-
-func TestBTreeRangeScanEdges(t *testing.T) {
-	_, _, tree := buildTree(t, 100, 4) // keys 0..297 step 3
-	if n := tree.RangeScan(10, 5, nil); n != 0 {
-		t.Errorf("inverted range visited %d", n)
-	}
-	if n := tree.RangeScan(1000, 2000, nil); n != 0 {
-		t.Errorf("out-of-domain range visited %d", n)
-	}
-	if n := tree.RangeScan(0, 1<<40, nil); n != 100 {
-		t.Errorf("full range visited %d, want 100", n)
-	}
-	if n := tree.RangeScan(297, 297, nil); n != 1 {
-		t.Errorf("point range visited %d, want 1", n)
-	}
-}
-
-func TestBTreeRangeScanPattern(t *testing.T) {
-	_, _, tree := buildTree(t, 4096, 16)
-	p := tree.RangeScanPattern(0.25)
-	model := newOriginModel(t)
-	res, err := model.Evaluate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := model.Evaluate(tree.RangeScanPattern(1.0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MemoryTimeNS() >= full.MemoryTimeNS() {
-		t.Error("quarter range scan should cost less than full")
 	}
 }
 

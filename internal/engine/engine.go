@@ -1,17 +1,19 @@
 // Package engine is a small column-oriented main-memory query engine in
 // the style of Monet, the paper's experimentation platform. Its operators
-// (scan, select, project, quick-sort, nested-loop / merge / hash join,
-// radix partitioning, partitioned hash-join, aggregation, duplicate
-// elimination) run over a simulated flat address space (internal/vmem),
-// so a cache simulator can observe the exact address trace — the role
-// the MIPS R10000 hardware counters play in the paper.
+// (scan, quick-sort, nested-loop / merge / hash join, B+-tree lookup,
+// radix partitioning, partitioned hash-join, aggregation) run over a
+// simulated flat address space (internal/vmem), so a cache simulator can
+// observe the exact address trace — the role the MIPS R10000 hardware
+// counters play in the paper.
 //
 // Every operator has a companion ...Pattern function returning the data
 // access pattern the paper's Table 2 assigns to it, so predictions and
 // measurements can be compared one-to-one. The operators and their
 // pattern descriptions implement the workload side of the paper's
 // Section 6 evaluation (the quick-sort, merge-join, hash-join and
-// partitioning experiments of Figure 7).
+// partitioning experiments of Figure 7). Selection, projection and
+// duplicate elimination exist here only as patterns the optimizer
+// prices; the operators that check those patterns live in the tests.
 package engine
 
 import (
@@ -44,18 +46,6 @@ func NewTable(mem *vmem.Memory, name string, n, w, align int64) *Table {
 	return &Table{Mem: mem, Reg: r, Base: base}
 }
 
-// NewTableAt allocates a table whose base address is congruent to offset
-// modulo align (alignment experiments).
-func NewTableAt(mem *vmem.Memory, name string, n, w, align, offset int64) *Table {
-	if w < KeyWidth {
-		panic(fmt.Sprintf("engine: tuple width %d below key width %d", w, KeyWidth))
-	}
-	base := mem.AllocOffset(n*w, align, offset)
-	r := region.New(name, n, w)
-	r.Base = int64(base)
-	return &Table{Mem: mem, Reg: r, Base: base}
-}
-
 // N returns the tuple count.
 func (t *Table) N() int64 { return t.Reg.N }
 
@@ -68,9 +58,6 @@ func (t *Table) Addr(i int64) vmem.Addr { return t.Base + vmem.Addr(i*t.Reg.W) }
 // Key reads the key of tuple i (observed).
 func (t *Table) Key(i int64) uint64 { return t.Mem.Load64(t.Addr(i)) }
 
-// SetKey writes the key of tuple i (observed).
-func (t *Table) SetKey(i int64, v uint64) { t.Mem.Store64(t.Addr(i), v) }
-
 // TouchTuple observes a read of u bytes of tuple i (u ≤ w; 0 means the
 // whole tuple). Operators use it for payload bytes they consume but whose
 // contents the simulation does not need.
@@ -79,15 +66,6 @@ func (t *Table) TouchTuple(i, u int64) {
 		u = t.Reg.W
 	}
 	t.Mem.Touch(t.Addr(i), u)
-}
-
-// WriteTuple writes key plus payload into tuple i (observed as one access
-// of the full width).
-func (t *Table) WriteTuple(i int64, key uint64) {
-	a := t.Addr(i)
-	t.Mem.TouchWrite(a, t.Reg.W)
-	raw := t.Mem.Raw(a, KeyWidth)
-	putU64(raw, key)
 }
 
 // CopyTuple copies tuple si of src into tuple di of t (observed: one read
@@ -128,25 +106,6 @@ func (t *Table) RawKey(i int64) uint64 {
 // SetRawKey writes the key of tuple i without observation (setup).
 func (t *Table) SetRawKey(i int64, v uint64) {
 	putU64(t.Mem.Raw(t.Addr(i), KeyWidth), v)
-}
-
-// Keys returns all keys unobserved (verification in tests).
-func (t *Table) Keys() []uint64 {
-	out := make([]uint64, t.Reg.N)
-	for i := int64(0); i < t.Reg.N; i++ {
-		out[i] = t.RawKey(i)
-	}
-	return out
-}
-
-// IsSortedRaw reports (unobserved) whether keys are non-decreasing.
-func (t *Table) IsSortedRaw() bool {
-	for i := int64(1); i < t.Reg.N; i++ {
-		if t.RawKey(i-1) > t.RawKey(i) {
-			return false
-		}
-	}
-	return true
 }
 
 func putU64(b []byte, v uint64) {

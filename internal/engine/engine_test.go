@@ -13,7 +13,7 @@ func newMem() *vmem.Memory { return vmem.New(1 << 24) }
 func TestTableKeyRoundTrip(t *testing.T) {
 	mem := newMem()
 	tab := NewTable(mem, "U", 10, 16, 32)
-	tab.SetKey(3, 12345)
+	tab.Mem.Store64(tab.Addr(3), 12345)
 	if got := tab.Key(3); got != 12345 {
 		t.Errorf("Key(3) = %d", got)
 	}
@@ -37,14 +37,6 @@ func TestTableAddressing(t *testing.T) {
 	}
 	if tab.N() != 10 || tab.W() != 24 {
 		t.Error("dimensions wrong")
-	}
-}
-
-func TestNewTableAtOffset(t *testing.T) {
-	mem := newMem()
-	tab := NewTableAt(mem, "U", 4, 8, 64, 5)
-	if int64(tab.Base)%64 != 5 {
-		t.Errorf("base %d not at offset 5 mod 64", tab.Base)
 	}
 }
 
@@ -183,7 +175,7 @@ func TestQuickSortSorts(t *testing.T) {
 func TestQuickSortDuplicates(t *testing.T) {
 	mem := newMem()
 	tab := NewTable(mem, "U", 1000, 8, 32)
-	workload.FillMod(tab, 7)
+	FillMod(tab, 7)
 	QuickSort(tab)
 	if !tab.IsSortedRaw() {
 		t.Fatal("duplicate-heavy table not sorted")
@@ -221,8 +213,8 @@ func TestQuickSortMovesPayload(t *testing.T) {
 func TestHashTableInsertLookup(t *testing.T) {
 	mem := newMem()
 	h := NewHashTable(mem, "H", 100)
-	if h.Buckets() < 200 {
-		t.Errorf("buckets = %d, want ≥ 2n", h.Buckets())
+	if h.Reg.N < 200 {
+		t.Errorf("buckets = %d, want ≥ 2n", h.Reg.N)
 	}
 	for i := int64(0); i < 100; i++ {
 		h.Insert(uint64(i*3), i)
@@ -269,8 +261,8 @@ func TestMergeJoinPartialOverlap(t *testing.T) {
 	u := NewTable(mem, "U", 50, 8, 32)
 	v := NewTable(mem, "V", 50, 8, 32)
 	w := NewTable(mem, "W", 50, 8, 32)
-	workload.FillSortedStep(u, 2) // 0,2,4,...,98
-	workload.FillSortedStep(v, 3) // 0,3,6,...,147
+	FillSortedStep(u, 2) // 0,2,4,...,98
+	FillSortedStep(v, 3) // 0,3,6,...,147
 	// Common keys ≤ min(98,147) divisible by 6: 0,6,...,96 → 17 keys.
 	if n := MergeJoin(u, v, w); n != 17 {
 		t.Errorf("matches = %d, want 17", n)
@@ -340,8 +332,8 @@ func TestHashJoinSelective(t *testing.T) {
 	u := NewTable(mem, "U", 100, 8, 32)
 	v := NewTable(mem, "V", 50, 8, 32)
 	w := NewTable(mem, "W", 100, 8, 32)
-	workload.FillSorted(u)        // 0..99
-	workload.FillSortedStep(v, 4) // 0,4,...,196
+	workload.FillSorted(u) // 0..99
+	FillSortedStep(v, 4)   // 0,4,...,196
 	if n := HashJoin(mem, u, v, w); n != 25 {
 		t.Errorf("matches = %d, want 25", n)
 	}
@@ -418,7 +410,7 @@ func TestPartitionedHashJoinMatchesPlain(t *testing.T) {
 func TestHashAggregate(t *testing.T) {
 	mem := newMem()
 	in := NewTable(mem, "U", 1000, 8, 32)
-	workload.FillMod(in, 10) // keys 0..9 round robin
+	FillMod(in, 10) // keys 0..9 round robin
 	agg := HashAggregate(mem, in, 10)
 	if g := agg.Groups(); g != 10 {
 		t.Errorf("groups = %d, want 10", g)
@@ -429,24 +421,8 @@ func TestHashDedup(t *testing.T) {
 	mem := newMem()
 	in := NewTable(mem, "U", 1000, 8, 32)
 	out := NewTable(mem, "W", 1000, 8, 32)
-	workload.FillMod(in, 37)
+	FillMod(in, 37)
 	if n := HashDedup(mem, in, out); n != 37 {
 		t.Errorf("distinct = %d, want 37", n)
-	}
-}
-
-func TestSortDedup(t *testing.T) {
-	mem := newMem()
-	in := NewTable(mem, "U", 1000, 8, 32)
-	out := NewTable(mem, "W", 1000, 8, 32)
-	workload.FillMod(in, 37)
-	n := SortDedup(in, out)
-	if n != 37 {
-		t.Errorf("distinct = %d, want 37", n)
-	}
-	for i := int64(1); i < n; i++ {
-		if out.RawKey(i-1) >= out.RawKey(i) {
-			t.Fatalf("sort-dedup output not strictly increasing at %d", i)
-		}
 	}
 }

@@ -55,9 +55,6 @@ func NewHashTable(mem *vmem.Memory, name string, n int64) *HashTable {
 	return &HashTable{Mem: mem, Reg: r, Base: base, mask: uint64(buckets - 1), shift: 64 - bits}
 }
 
-// Buckets returns the number of buckets.
-func (h *HashTable) Buckets() int64 { return h.Reg.N }
-
 func (h *HashTable) bucketAddr(b uint64) vmem.Addr {
 	return h.Base + vmem.Addr(int64(b)*BucketWidth)
 }

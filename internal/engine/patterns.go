@@ -88,15 +88,6 @@ func MergeJoinPattern(u, v, w *region.Region) pattern.Pattern {
 	}
 }
 
-// MergeSetOpPattern is the shared pattern of the sorted-merge set
-// operations (union, intersection, difference): like merge join, three
-// concurrent sequential traversals — only the output cardinality
-// differs, which is the logical cost component's concern, not the
-// physical model's.
-func MergeSetOpPattern(u, v, w *region.Region) pattern.Pattern {
-	return MergeJoinPattern(u, v, w)
-}
-
 // NestedLoopJoinPattern is s_trav(U) ⊙ rs_trav(|U|, uni, V) ⊙ s_trav(W).
 func NestedLoopJoinPattern(u, v, w *region.Region) pattern.Pattern {
 	return pattern.Conc{

@@ -119,45 +119,3 @@ func MultiPassPartitionPattern(in *region.Region, name string, fanout int64, pas
 	}
 	return seq
 }
-
-// BestPartitionPasses uses a tiny cost heuristic to choose the number of
-// radix passes for a target fan-out m on a hierarchy with the given
-// smallest relevant cursor budget (usually the TLB entry count): the
-// smallest pass count whose per-pass fanout stays within budget.
-func BestPartitionPasses(m, cursorBudget int64) int {
-	if m <= cursorBudget {
-		return 1
-	}
-	passes := 1
-	perPass := m
-	for perPass > cursorBudget {
-		passes++
-		perPass = iroot(m, passes)
-	}
-	return passes
-}
-
-// iroot returns ceil(m^(1/k)) computed by integer search.
-func iroot(m int64, k int) int64 {
-	lo, hi := int64(2), m
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ipow(mid, k) >= m {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-func ipow(b int64, k int) int64 {
-	r := int64(1)
-	for i := 0; i < k; i++ {
-		if r > (1<<62)/b {
-			return 1 << 62
-		}
-		r *= b
-	}
-	return r
-}

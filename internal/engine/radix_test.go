@@ -92,43 +92,6 @@ func assertPanic(t *testing.T, name string, f func()) {
 	f()
 }
 
-func TestBestPartitionPasses(t *testing.T) {
-	cases := []struct {
-		m, budget int64
-		want      int
-	}{
-		{16, 64, 1},      // fits in one pass
-		{64, 64, 1},      // exactly fits
-		{128, 64, 2},     // needs two passes (12x12 > 128)
-		{4096, 64, 2},    // 64x64
-		{1 << 18, 64, 3}, // 64^3 = 262144
-	}
-	for _, tc := range cases {
-		if got := BestPartitionPasses(tc.m, tc.budget); got != tc.want {
-			t.Errorf("BestPartitionPasses(%d,%d) = %d, want %d", tc.m, tc.budget, got, tc.want)
-		}
-	}
-}
-
-func TestIroot(t *testing.T) {
-	cases := []struct {
-		m    int64
-		k    int
-		want int64
-	}{
-		{64, 2, 8},
-		{100, 2, 10},
-		{101, 2, 11},
-		{27, 3, 3},
-		{28, 3, 4},
-	}
-	for _, tc := range cases {
-		if got := iroot(tc.m, tc.k); got != tc.want {
-			t.Errorf("iroot(%d,%d) = %d, want %d", tc.m, tc.k, got, tc.want)
-		}
-	}
-}
-
 // TestMultiPassPatternGeometry checks that the declared pattern has one
 // pass per Seq element, each a scan concurrent with a nest.
 func TestMultiPassPatternGeometry(t *testing.T) {

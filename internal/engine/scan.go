@@ -1,8 +1,7 @@
 package engine
 
-// Unary streaming operators: table scan, selection, projection. They all
-// traverse their input sequentially; selection and projection also write
-// an output sequentially (the paper's Table 2 patterns).
+// The table scan: a sequential traversal of its input (the paper's
+// Table 2 s_trav pattern).
 
 // ScanSum performs a full table scan, reading u bytes of every tuple
 // (0 = whole tuple) and returning the sum of all keys — an aggregate that
@@ -31,32 +30,4 @@ func ScanSum(t *Table, u int64) uint64 {
 		}
 	}
 	return sum
-}
-
-// Select copies every tuple of in whose key satisfies pred into out,
-// returning the number of qualifying tuples. Out must have capacity for
-// all of them and at least the input width.
-func Select(in, out *Table, pred func(uint64) bool) int64 {
-	var o int64
-	n := in.N()
-	for i := int64(0); i < n; i++ {
-		if pred(in.Key(i)) {
-			out.CopyTuple(o, in, i)
-			o++
-		}
-	}
-	return o
-}
-
-// Project copies u bytes of every input tuple into the (narrower) output
-// table; out.W() must equal u and u ≥ KeyWidth so keys survive.
-func Project(in, out *Table, u int64) {
-	if out.W() != u {
-		panic("engine: Project output width must equal u")
-	}
-	n := in.N()
-	for i := int64(0); i < n; i++ {
-		// CopyTuple touches exactly u = out.W() bytes of the input tuple.
-		out.CopyTuple(i, in, i)
-	}
 }

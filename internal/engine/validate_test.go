@@ -209,6 +209,23 @@ func TestOperatorPartitionedHashJoin(t *testing.T) {
 	r.compare(t, "part-hashjoin", p, st, 0.50)
 }
 
+func TestOperatorMultiPassPartition(t *testing.T) {
+	r := newRig()
+	n := int64(8192)
+	in := r.table("U", n, 8, func(tb *engine.Table) {
+		workload.FillUniform(tb, workload.NewRNG(15))
+	})
+	var parts *engine.Partitions
+	st := r.measure(func() {
+		parts = engine.MultiPassPartition(r.mem, in, "M", 5, 2, engine.HashPartition)
+	})
+	if parts.M != 25 {
+		t.Fatalf("M = %d", parts.M)
+	}
+	p := engine.MultiPassPartitionPattern(in.Reg, "M", 5, 2)
+	r.compare(t, "multipass-partition", p, st, 0.45)
+}
+
 func TestOperatorHashAggregate(t *testing.T) {
 	r := newRig()
 	in := r.table("U", 8192, 8, fillUniform(8))
@@ -221,7 +238,7 @@ func TestOperatorHashAggregate(t *testing.T) {
 
 func TestOperatorHashDedup(t *testing.T) {
 	r := newRig()
-	in := r.table("U", 4096, 8, func(t *engine.Table) { workload.FillMod(t, 1024) })
+	in := r.table("U", 4096, 8, func(t *engine.Table) { engine.FillMod(t, 1024) })
 	out := r.table("W", 4096, 8, nil)
 	hReg := engine.HashRegionFor("H", 4096)
 	var distinct int64

@@ -232,7 +232,7 @@ func BenchmarkSweepGrid(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(res) != grid.Len() {
+			if len(res) != len(pts) {
 				b.Fatal("short sweep")
 			}
 		}

@@ -301,12 +301,18 @@ func unionRegions(ps []Pattern) []*region.Region {
 }
 
 // Validate checks structural invariants of a pattern tree: non-nil
-// regions, positive repeat/count/sub-region parameters, u ≤ R.w.
+// regions, positive repeat/count/sub-region parameters, u ≤ R.w, and
+// directions, nest orders and inner kinds among their declared
+// constants (an undeclared value would render as a declared one and
+// share its canonical key while being priced differently).
 func Validate(p Pattern) error {
 	switch q := p.(type) {
 	case STrav:
 		return validateBasic(q.R, q.U, 1, 1)
 	case RSTrav:
+		if q.Dir != Uni && q.Dir != Bi {
+			return fmt.Errorf("pattern: rs_trav with unknown direction %d", int(q.Dir))
+		}
 		return validateBasic(q.R, q.U, q.Repeats, 1)
 	case RTrav:
 		return validateBasic(q.R, q.U, 1, 1)
@@ -320,6 +326,12 @@ func Validate(p Pattern) error {
 		}
 		if q.M <= 0 {
 			return fmt.Errorf("pattern: nest with non-positive sub-region count %d", q.M)
+		}
+		if q.Order < OrderRandom || q.Order > OrderBi {
+			return fmt.Errorf("pattern: nest with unknown order %d", int(q.Order))
+		}
+		if q.Inner < InnerSTrav || q.Inner > InnerRAcc {
+			return fmt.Errorf("pattern: nest with unknown inner pattern %d", int(q.Inner))
 		}
 		if q.Inner == InnerRAcc && q.Count <= 0 {
 			return fmt.Errorf("pattern: nest r_acc inner with non-positive count %d", q.Count)

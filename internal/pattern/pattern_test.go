@@ -65,6 +65,23 @@ func TestUsed(t *testing.T) {
 	}
 }
 
+// TestUsedResolution walks every branch of Used: unset, negative, partial,
+// exact and oversized bytes-used values.
+func TestUsedResolution(t *testing.T) {
+	u := region.New("U", 10, 16)
+	for _, tc := range []struct{ u, want int64 }{
+		{0, 16},   // unset: full width
+		{-3, 16},  // negative: full width
+		{8, 8},    // partial use
+		{16, 16},  // exact
+		{100, 16}, // oversized: clamped to width
+	} {
+		if got := Used(tc.u, u); got != tc.want {
+			t.Errorf("Used(%d, U) = %d, want %d", tc.u, got, tc.want)
+		}
+	}
+}
+
 func TestRegionsCollection(t *testing.T) {
 	u := region.New("U", 10, 8)
 	v := region.New("V", 10, 8)

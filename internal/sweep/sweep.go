@@ -84,9 +84,6 @@ func Prepare(points []Point) (*Grid, error) {
 	return g, nil
 }
 
-// Len returns the number of grid points.
-func (g *Grid) Len() int { return len(g.points) }
-
 // On binds the grid to a hierarchy, returning a reusable Sweep. The
 // Sweep owns per-worker pricers whose memos warm up across Runs; it is
 // safe for concurrent Runs only through separate Sweeps.
@@ -137,9 +134,6 @@ type Result struct {
 	// time (Options.Price).
 	MeasuredNS float64
 }
-
-// Hierarchy returns the bound hierarchy.
-func (s *Sweep) Hierarchy() *hardware.Hierarchy { return s.hier }
 
 // worker returns worker w's context, creating it on first use.
 func (s *Sweep) worker(w int) *workerCtx {

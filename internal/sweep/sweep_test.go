@@ -64,7 +64,10 @@ func TestSweepMatchesPointLoop(t *testing.T) {
 	}
 	for _, h := range []*hardware.Hierarchy{hardware.Origin2000(), hardware.ModernX86()} {
 		model := cost.MustNew(h)
-		ana := cachemodel.MustNew(h)
+		ana, err := cachemodel.New(h)
+		if err != nil {
+			t.Fatal(err)
+		}
 		wantPred := make([]float64, len(pts))
 		wantMeas := make([]float64, len(pts))
 		for i, pt := range pts {

@@ -44,7 +44,6 @@ type Memory struct {
 	data     []byte
 	brk      Addr
 	observer Observer
-	accesses uint64
 }
 
 // New creates a memory of the given size in bytes.
@@ -57,18 +56,6 @@ func New(size int64) *Memory {
 
 // SetObserver installs the access observer (nil disables observation).
 func (m *Memory) SetObserver(o Observer) { m.observer = o }
-
-// Observer returns the installed observer, or nil.
-func (m *Memory) Observer() Observer { return m.observer }
-
-// Size returns the total size of the address space in bytes.
-func (m *Memory) Size() int64 { return int64(len(m.data)) }
-
-// Allocated returns the number of bytes handed out so far.
-func (m *Memory) Allocated() int64 { return int64(m.brk) }
-
-// Accesses returns the number of observed accesses performed so far.
-func (m *Memory) Accesses() uint64 { return m.accesses }
 
 // Alloc reserves size bytes aligned to align (a power of two, or <=1 for
 // byte alignment) and returns the base address.
@@ -101,18 +88,7 @@ func (m *Memory) AllocOffset(size, align, offset int64) Addr {
 	return base + Addr(offset%align)
 }
 
-// Reset discards all allocations and zeroes the space. Observers stay
-// installed; access counters are cleared.
-func (m *Memory) Reset() {
-	for i := range m.data {
-		m.data[i] = 0
-	}
-	m.brk = 0
-	m.accesses = 0
-}
-
 func (m *Memory) observe(addr Addr, size int64, write bool) {
-	m.accesses++
 	if m.observer != nil {
 		m.observer.OnAccess(Access{Addr: addr, Size: size, Write: write})
 	}
@@ -122,34 +98,6 @@ func (m *Memory) check(addr Addr, size int64) {
 	if addr < 0 || int64(addr)+size > int64(len(m.data)) {
 		panic(fmt.Sprintf("vmem: access [%d,%d) out of bounds (size %d)", addr, int64(addr)+size, len(m.data)))
 	}
-}
-
-// Load8 reads one byte.
-func (m *Memory) Load8(addr Addr) byte {
-	m.check(addr, 1)
-	m.observe(addr, 1, false)
-	return m.data[addr]
-}
-
-// Store8 writes one byte.
-func (m *Memory) Store8(addr Addr, v byte) {
-	m.check(addr, 1)
-	m.observe(addr, 1, true)
-	m.data[addr] = v
-}
-
-// Load32 reads a little-endian uint32.
-func (m *Memory) Load32(addr Addr) uint32 {
-	m.check(addr, 4)
-	m.observe(addr, 4, false)
-	return binary.LittleEndian.Uint32(m.data[addr:])
-}
-
-// Store32 writes a little-endian uint32.
-func (m *Memory) Store32(addr Addr, v uint32) {
-	m.check(addr, 4)
-	m.observe(addr, 4, true)
-	binary.LittleEndian.PutUint32(m.data[addr:], v)
 }
 
 // Load64 reads a little-endian uint64.
@@ -164,23 +112,6 @@ func (m *Memory) Store64(addr Addr, v uint64) {
 	m.check(addr, 8)
 	m.observe(addr, 8, true)
 	binary.LittleEndian.PutUint64(m.data[addr:], v)
-}
-
-// LoadBytes reads size bytes starting at addr into dst (one observed
-// access covering the whole range, as a wide load).
-func (m *Memory) LoadBytes(addr Addr, dst []byte) {
-	size := int64(len(dst))
-	m.check(addr, size)
-	m.observe(addr, size, false)
-	copy(dst, m.data[addr:int64(addr)+size])
-}
-
-// StoreBytes writes src starting at addr (one observed access).
-func (m *Memory) StoreBytes(addr Addr, src []byte) {
-	size := int64(len(src))
-	m.check(addr, size)
-	m.observe(addr, size, true)
-	copy(m.data[addr:int64(addr)+size], src)
 }
 
 // Touch observes a read of size bytes at addr without copying data. It is

@@ -6,10 +6,7 @@
 // experiments (Figure 7) in reproducible form.
 package workload
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // Keyed is the minimal table surface the generators need: a tuple count
 // and unobserved key writes (filling is setup, not measured trace).
@@ -108,54 +105,5 @@ func FillSorted(t Keyed) {
 	n := t.N()
 	for i := int64(0); i < n; i++ {
 		t.SetRawKey(i, uint64(i))
-	}
-}
-
-// FillSortedStep sets keys to i*step (sorted with gaps, so selections and
-// band predicates have controllable selectivity).
-func FillSortedStep(t Keyed, step uint64) {
-	n := t.N()
-	for i := int64(0); i < n; i++ {
-		t.SetRawKey(i, uint64(i)*step)
-	}
-}
-
-// FillMod sets key i to i mod groups — a grouping column with exactly
-// `groups` distinct values, stored round-robin.
-func FillMod(t Keyed, groups int64) {
-	n := t.N()
-	for i := int64(0); i < n; i++ {
-		t.SetRawKey(i, uint64(i%groups))
-	}
-}
-
-// FillZipf fills keys with an approximately Zipf-distributed choice among
-// `domain` values with skew parameter s ≥ 0 (s = 0 is uniform). It uses
-// the standard inverse-CDF approximation over precomputed cumulative
-// weights for small domains.
-func FillZipf(t Keyed, rng *RNG, domain int64, s float64) {
-	if domain <= 0 {
-		panic("workload: non-positive Zipf domain")
-	}
-	cum := make([]float64, domain)
-	var total float64
-	for k := int64(0); k < domain; k++ {
-		total += 1.0 / math.Pow(float64(k+1), s)
-		cum[k] = total
-	}
-	n := t.N()
-	for i := int64(0); i < n; i++ {
-		x := rng.Float64() * total
-		// Binary search for the first cumulative weight ≥ x.
-		lo, hi := int64(0), domain-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cum[mid] < x {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		t.SetRawKey(i, uint64(lo))
 	}
 }

@@ -150,31 +150,6 @@ func TestFillSorted(t *testing.T) {
 	}
 }
 
-func TestFillSortedStep(t *testing.T) {
-	tab := newMemTable(10)
-	FillSortedStep(tab, 7)
-	for i, k := range tab.keys {
-		if k != uint64(i*7) {
-			t.Fatalf("key %d = %d", i, k)
-		}
-	}
-}
-
-func TestFillMod(t *testing.T) {
-	tab := newMemTable(100)
-	FillMod(tab, 7)
-	counts := map[uint64]int{}
-	for _, k := range tab.keys {
-		if k >= 7 {
-			t.Fatalf("key %d outside group domain", k)
-		}
-		counts[k]++
-	}
-	if len(counts) != 7 {
-		t.Errorf("groups = %d, want 7", len(counts))
-	}
-}
-
 func TestFillUniformSpread(t *testing.T) {
 	tab := newMemTable(4096)
 	FillUniform(tab, NewRNG(6))
@@ -188,43 +163,4 @@ func TestFillUniformSpread(t *testing.T) {
 	if high < 1600 || high > 2500 {
 		t.Errorf("top-bit count %d out of expected band", high)
 	}
-}
-
-func TestFillZipfSkew(t *testing.T) {
-	tab := newMemTable(10000)
-	FillZipf(tab, NewRNG(7), 100, 1.0)
-	counts := make([]int, 100)
-	for _, k := range tab.keys {
-		if k >= 100 {
-			t.Fatalf("Zipf key %d outside domain", k)
-		}
-		counts[k]++
-	}
-	// Rank 0 must dominate rank 50 heavily under s=1.
-	if counts[0] < 5*counts[50] {
-		t.Errorf("no Zipf skew: rank0=%d rank50=%d", counts[0], counts[50])
-	}
-}
-
-func TestFillZipfUniformWhenSZero(t *testing.T) {
-	tab := newMemTable(10000)
-	FillZipf(tab, NewRNG(8), 10, 0)
-	counts := make([]int, 10)
-	for _, k := range tab.keys {
-		counts[k]++
-	}
-	for v, c := range counts {
-		if c < 700 || c > 1300 {
-			t.Errorf("s=0 value %d count %d not ≈1000", v, c)
-		}
-	}
-}
-
-func TestFillZipfPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for non-positive domain")
-		}
-	}()
-	FillZipf(newMemTable(1), NewRNG(1), 0, 1)
 }

@@ -103,3 +103,42 @@ func TestBatchDedup(t *testing.T) {
 			health.BatchDedup.Hits, health.BatchDedup.Misses)
 	}
 }
+
+// TestWarmBatchAllocs bounds the allocations of a batch whose leaders
+// all hit the result cache. The dedup prepass parses and canonicalizes
+// every request once; leaders reuse that work instead of re-parsing and
+// re-canonicalizing inside Evaluate. The bound sits above the 540
+// allocations this batch makes; evaluating each leader from its raw
+// request again made 679.
+func TestWarmBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under -race")
+	}
+	srv := server.New(server.Config{Workers: 1})
+	regions := []server.RegionDecl{
+		{Name: "U", Items: 1 << 16, Width: 16},
+		{Name: "V", Items: 1 << 14, Width: 16},
+		{Name: "H", Items: 1 << 15, Width: 16},
+		{Name: "W", Items: 1 << 16, Width: 16},
+	}
+	var reqs []server.EvalRequest
+	for _, p := range []string{
+		"s_trav(U) (.) r_acc(65536, H) (.) s_trav(W)",
+		"[s_trav(V) (.) r_trav(H)] (+) [s_trav(U) (.) r_acc(65536, H) (.) s_trav(W)]",
+		"nest(U, 64, s_trav(U_j), rnd) (+) rs_trav(4, bi, V)",
+		"s_trav(U) (+) [s_trav(U) (.) s_trav(V)]",
+	} {
+		reqs = append(reqs,
+			server.EvalRequest{Profile: "origin2000", Regions: regions, Pattern: p},
+			server.EvalRequest{Profile: "origin2000", Regions: regions, Pattern: p, CPUNS: 1e6})
+	}
+	for _, res := range srv.EvaluateBatch(reqs) { // warm the caches
+		if res.Error != "" {
+			t.Fatal(res.Error)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() { srv.EvaluateBatch(reqs) })
+	if allocs > 600 {
+		t.Errorf("%.0f allocs per warm batch of %d requests", allocs, len(reqs))
+	}
+}

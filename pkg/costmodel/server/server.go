@@ -301,9 +301,13 @@ func (s *Server) EvaluateBatch(reqs []EvalRequest) []*EvalResult {
 	// first request of every distinct result key as its leader.
 	// Requests that fail to parse resolve here (their error result is
 	// exactly what Evaluate would return) and never reach the pool.
+	// Leaders keep their parsed pattern and canonical form, so their
+	// evaluation neither re-parses nor re-canonicalizes.
 	leader := make(map[string]int, len(reqs))
 	followOf := make([]int, len(reqs))
 	spelling := make([]string, len(reqs))
+	parsed := make([]costmodel.Pattern, len(reqs))
+	canons := make([]string, len(reqs))
 	var leaders []int
 	for i := range reqs {
 		followOf[i] = -1
@@ -325,6 +329,7 @@ func (s *Server) EvaluateBatch(reqs []EvalRequest) []*EvalResult {
 		} else {
 			leader[key] = i
 			leaders = append(leaders, i)
+			parsed[i], canons[i] = p, canon
 			s.batchDedupMisses.Add(1)
 		}
 	}
@@ -340,7 +345,13 @@ func (s *Server) EvaluateBatch(reqs []EvalRequest) []*EvalResult {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = s.Evaluate(reqs[i])
+				p, canon := parsed[i], canons[i]
+				results[i] = s.evaluateParsed(reqs[i], p, func(keep func(string) bool) (*costmodel.CompiledPattern, error) {
+					if !keep(canon) {
+						return nil, nil
+					}
+					return costmodel.Compile(p)
+				})
 			}
 		}()
 	}
@@ -432,14 +443,26 @@ func (s *Server) Evaluate(req EvalRequest) *EvalResult {
 	if errRes != nil {
 		return errRes
 	}
-	// One canonicalization serves the result-cache lookup, the
-	// compile-cache lookup and, on a miss in both, the compile.
+	return s.evaluateParsed(req, p, func(keep func(string) bool) (*costmodel.CompiledPattern, error) {
+		return costmodel.CompileIf(p, keep)
+	})
+}
+
+// evaluateParsed evaluates the parsed pattern p of req. compileIf has
+// costmodel.CompileIf's contract for p: it hands p's canonical form to
+// keep and compiles p only if keep returns true. Evaluate canonicalizes
+// there; a batch leader passes the canonical form its dedup prepass
+// already computed. One canonicalization thus serves the result-cache
+// lookup, the compile-cache lookup and, on a miss in both, the compile
+// (a batch leader's compile canonicalizes p again).
+func (s *Server) evaluateParsed(req EvalRequest, p costmodel.Pattern,
+	compileIf func(keep func(string) bool) (*costmodel.CompiledPattern, error)) *EvalResult {
 	var (
 		canon, key string
 		res        *EvalResult
 		prog       *costmodel.CompiledPattern
 	)
-	compiled, err := costmodel.CompileIf(p, func(c string) bool {
+	compiled, err := compileIf(func(c string) bool {
 		canon, key = c, s.resultKey(req, p, c)
 		if res = s.cachedResult(key); res != nil {
 			return false
