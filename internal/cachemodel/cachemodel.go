@@ -22,9 +22,9 @@
 // right depth; concurrent composition (⊙) inflates every distance by
 // the lines the interleaved siblings push between two uses of a line.
 //
-// The output implements the same stats surface as cachesim.Simulator
-// (cachesim.Measurer), so the validation harness can swap backends.
-// The model is O(atoms × levels × ways) per pattern — milliseconds for
+// Validation reads one number from a Result: its latency-scored memory
+// time, which internal/sweep reports as sweep.Result.MeasuredNS, where
+// the trace backend reads cachesim.Simulator.MemoryTimeNS. The model is O(atoms × levels × ways) per pattern — milliseconds for
 // the full validation grid where the trace backend needs seconds.
 package cachemodel
 
@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cachesim"
 	"repro/internal/costmath"
 	"repro/internal/hardware"
 	"repro/internal/pattern"
@@ -78,58 +77,17 @@ func New(h *hardware.Hierarchy) (*Model, error) {
 	return m, nil
 }
 
-// levelResult accumulates one level's expectations in float64; Result
-// rounds them into cachesim.Stats on demand.
+// levelResult accumulates one level's expectations in float64.
 type levelResult struct {
 	accesses float64
 	seqMiss  float64
 	rndMiss  float64
 }
 
-// Result is the priced outcome of one pattern. It implements
-// cachesim.Measurer, the read-only stats surface shared with the
-// trace-driven simulator.
+// Result is the priced outcome of one pattern.
 type Result struct {
 	hier   *hardware.Hierarchy
 	levels []levelResult
-}
-
-var _ cachesim.Measurer = (*Result)(nil)
-
-// Hierarchy returns the hierarchy the pattern was priced on.
-func (r *Result) Hierarchy() *hardware.Hierarchy { return r.hier }
-
-// Stats returns the expected counters of level i, rounded to integers.
-func (r *Result) Stats(i int) cachesim.Stats {
-	lr := r.levels[i]
-	s := cachesim.Stats{
-		Accesses:  uint64(math.Round(lr.accesses)),
-		SeqMisses: uint64(math.Round(lr.seqMiss)),
-		RndMisses: uint64(math.Round(lr.rndMiss)),
-	}
-	if m := s.SeqMisses + s.RndMisses; s.Accesses > m {
-		s.Hits = s.Accesses - m
-	}
-	return s
-}
-
-// StatsByName returns the counters for the named level.
-func (r *Result) StatsByName(name string) (cachesim.Stats, bool) {
-	for i, l := range r.hier.Levels {
-		if l.Name == name {
-			return r.Stats(i), true
-		}
-	}
-	return cachesim.Stats{}, false
-}
-
-// AllStats returns the counters for all levels in hierarchy order.
-func (r *Result) AllStats() []cachesim.Stats {
-	out := make([]cachesim.Stats, len(r.levels))
-	for i := range r.levels {
-		out[i] = r.Stats(i)
-	}
-	return out
 }
 
 // MemoryTimeNS scores the expected misses with the hierarchy's

@@ -209,33 +209,3 @@ func TestNewRejectsInvalidHierarchy(t *testing.T) {
 		t.Fatal("expected error for non-power-of-two line size")
 	}
 }
-
-func TestResultMeasurerSurface(t *testing.T) {
-	h := hardware.SmallTest()
-	m := MustNew(h)
-	r := region.New("U", 4096, 8)
-	res, err := priceOnce(m, pattern.STrav{R: r})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var meas cachesim.Measurer = res
-	if meas.Hierarchy() != h {
-		t.Error("Hierarchy() mismatch")
-	}
-	if len(meas.AllStats()) != len(h.Levels) {
-		t.Error("AllStats() length mismatch")
-	}
-	st, ok := meas.StatsByName("L1")
-	if !ok {
-		t.Fatal("L1 not found")
-	}
-	if st.Accesses == 0 || st.Misses() == 0 {
-		t.Errorf("expected nonzero L1 traffic, got %+v", st)
-	}
-	if st.Hits != st.Accesses-st.Misses() {
-		t.Errorf("hits %d != accesses %d - misses %d", st.Hits, st.Accesses, st.Misses())
-	}
-	if meas.MemoryTimeNS() <= 0 {
-		t.Error("expected positive memory time")
-	}
-}

@@ -1,6 +1,11 @@
 package cachemodel
 
-import "repro/internal/hardware"
+import (
+	"math"
+
+	"repro/internal/cachesim"
+	"repro/internal/hardware"
+)
 
 // MustNew is New, panicking on error.
 func MustNew(h *hardware.Hierarchy) *Model {
@@ -9,6 +14,21 @@ func MustNew(h *hardware.Hierarchy) *Model {
 		panic(err)
 	}
 	return m
+}
+
+// Stats returns the expected counters of level i, rounded to integers,
+// in the trace simulator's terms.
+func (r *Result) Stats(i int) cachesim.Stats {
+	lr := r.levels[i]
+	s := cachesim.Stats{
+		Accesses:  uint64(math.Round(lr.accesses)),
+		SeqMisses: uint64(math.Round(lr.seqMiss)),
+		RndMisses: uint64(math.Round(lr.rndMiss)),
+	}
+	if m := s.SeqMisses + s.RndMisses; s.Accesses > m {
+		s.Hits = s.Accesses - m
+	}
+	return s
 }
 
 // MissesNS returns level i's expected (seq, rnd) miss counts without

@@ -35,21 +35,6 @@ type Stats struct {
 // Misses returns total misses.
 func (s Stats) Misses() uint64 { return s.SeqMisses + s.RndMisses }
 
-// Measurer is the read-only measurement surface a validation backend
-// exposes: per-level counters and the latency-scored memory time. The
-// trace-driven Simulator implements it by counting; the analytical
-// model (internal/cachemodel) implements it by pricing stack-distance
-// distributions. The validation harness accepts either.
-type Measurer interface {
-	Hierarchy() *hardware.Hierarchy
-	Stats(i int) Stats
-	StatsByName(name string) (Stats, bool)
-	AllStats() []Stats
-	MemoryTimeNS() float64
-}
-
-var _ Measurer = (*Simulator)(nil)
-
 // HitRate returns the fraction of lookups served from the cache.
 func (s Stats) HitRate() float64 {
 	if s.Accesses == 0 {
@@ -215,9 +200,6 @@ func New(h *hardware.Hierarchy) *Simulator {
 	}
 	return s
 }
-
-// Hierarchy returns the simulated hierarchy.
-func (s *Simulator) Hierarchy() *hardware.Hierarchy { return s.hier }
 
 // OnAccess feeds one program access into the hierarchy. A wide access
 // that spans multiple lines touches each covered line once, matching the

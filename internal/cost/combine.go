@@ -1,8 +1,10 @@
 package cost
 
 import (
+	"slices"
 	"sort"
 
+	"repro/internal/costmath"
 	"repro/internal/pattern"
 	"repro/internal/region"
 )
@@ -18,26 +20,25 @@ import (
 //     which is divided among them in proportion to their footprints.
 
 // evalLevel computes the misses of p at one cache level, given the
-// initial state st, and returns the resulting state.
-func evalLevel(lp levelParams, st State, p pattern.Pattern) (Misses, State) {
+// initial state st, and returns the resulting state. A non-nil rec
+// records an Explain row for every node the walk visits.
+func evalLevel(lp levelParams, st state, p pattern.Pattern, rec *recorder) (mi Misses, after state) {
+	row := rec.open(p, false)
 	switch q := p.(type) {
 	case pattern.Seq:
 		// Eq. 5.2: fold the state through the sub-patterns.
-		var total Misses
-		cur := st
+		after = st
 		for _, sub := range q {
-			var mi Misses
-			mi, cur = evalLevel(lp, cur, sub)
-			total = total.Add(mi)
+			var m Misses
+			m, after = evalLevel(lp, after, sub, rec)
+			mi = mi.Add(m)
 		}
-		return total, cur
 
 	case pattern.Conc:
 		// Eq. 5.3: divide the cache among the patterns in footprint
 		// proportion; each runs on its scaled-down cache.
 		total := footprint(lp, q)
-		var sum Misses
-		after := State{}
+		resident := state{}
 		for _, sub := range q {
 			nu := 1.0
 			if total > 0 {
@@ -48,25 +49,30 @@ func evalLevel(lp levelParams, st State, p pattern.Pattern) (Misses, State) {
 				// stream through at least a line's worth of cache.
 				nu = 1 / lp.L
 			}
-			slp := lp.Scaled(nu)
-			mi, subState := evalLevel(slp, st, sub)
-			sum = sum.Add(mi)
+			// A ⊙ child is one row: the rows under it would show misses
+			// on the scaled-down cache, not the hierarchy's.
+			child := rec.open(sub, true)
+			m, subState := evalLevel(lp.Scaled(nu), st, sub, nil)
+			rec.close(child, m)
+			mi = mi.Add(m)
 			// After ⊙ the cache holds a fraction of each region
 			// proportional to its pattern's share.
 			for r, f := range subState {
-				if f > after[r] {
-					after[r] = f
+				if f > resident[r] {
+					resident[r] = f
 				}
 			}
 		}
-		return sum, mergeState(lp, st, after)
+		after = mergeState(lp, st, resident)
 
 	default:
 		// Basic pattern: Eq. 5.1 state adjustment around the Section-4
 		// cold-cache count, then the resulting single-region state.
-		mi := stateAdjusted(lp, st, p)
-		return mi, mergeState(lp, st, resultState(lp, p))
+		mi = stateAdjusted(lp, st, p)
+		after = mergeState(lp, st, resultState(lp, p))
 	}
+	rec.close(row, mi)
+	return mi, after
 }
 
 // mergeState combines the state a pattern leaves behind with the
@@ -77,12 +83,14 @@ func evalLevel(lp levelParams, st State, p pattern.Pattern) (Misses, State) {
 // scaling their fractions down proportionally otherwise. Recursive
 // patterns (quick-sort) need this to model that the second half of a
 // cache-resident segment survives while the first half is sorted.
-func mergeState(lp levelParams, old, new State) State {
-	out := new.Clone()
-	var newBytes float64
+func mergeState(lp levelParams, old, new state) state {
+	out := new.clone()
+	var buf [16]float64
+	terms := buf[:0]
 	for r, f := range new {
-		newBytes += f * float64(r.Size())
+		terms = append(terms, f*float64(r.Size()))
 	}
+	newBytes := sumAscending(terms)
 	avail := lp.C - newBytes
 	if avail <= 0 {
 		return out
@@ -101,12 +109,13 @@ func mergeState(lp levelParams, old, new State) State {
 		}
 		return true
 	}
-	var oldBytes float64
+	terms = terms[:0]
 	for r, f := range old {
 		if keep(r) {
-			oldBytes += f * float64(r.Size())
+			terms = append(terms, f*float64(r.Size()))
 		}
 	}
+	oldBytes := sumAscending(terms)
 	if oldBytes <= 0 {
 		return out
 	}
@@ -125,6 +134,18 @@ func mergeState(lp levelParams, old, new State) State {
 	return boundState(out)
 }
 
+// sumAscending adds the terms smallest first. The terms come from a map
+// walk; a fixed order keeps the rounding, and so every prediction, the
+// same from run to run.
+func sumAscending(terms []float64) float64 {
+	slices.Sort(terms)
+	var sum float64
+	for _, t := range terms {
+		sum += t
+	}
+	return sum
+}
+
 // maxStateEntries bounds the cache-state map. Long Seq chains (e.g. a
 // partitioned join with thousands of per-cluster sub-joins) would
 // otherwise accumulate an entry per region ever touched, making
@@ -132,7 +153,7 @@ func mergeState(lp levelParams, old, new State) State {
 // resident bytes — the only ones that can change a later prediction.
 const maxStateEntries = 96
 
-func boundState(st State) State {
+func boundState(st state) state {
 	if len(st) <= maxStateEntries {
 		return st
 	}
@@ -152,7 +173,7 @@ func boundState(st State) State {
 		}
 		return entries[i].r.Name < entries[j].r.Name
 	})
-	out := make(State, maxStateEntries)
+	out := make(state, maxStateEntries)
 	for _, e := range entries[:maxStateEntries] {
 		out[e.r] = st[e.r]
 	}
@@ -184,7 +205,7 @@ func related(a, b *region.Region) bool {
 //   - sequential patterns with 0 < rho < 1: the resident fraction would
 //     help only if it were the head of the region; since that is
 //     unknown, no benefit is assumed.
-func stateAdjusted(lp levelParams, st State, p pattern.Pattern) Misses {
+func stateAdjusted(lp levelParams, st state, p pattern.Pattern) Misses {
 	cold := basicMisses(lp, p)
 	regions := p.Regions()
 	if len(regions) != 1 {
@@ -202,7 +223,7 @@ func stateAdjusted(lp levelParams, st State, p pattern.Pattern) Misses {
 	// cache-to-hot-set ratio; prior residency only saves (part of) the
 	// compulsory first-touch misses of the ℓ distinct lines.
 	if ra, ok := p.(pattern.RAcc); ok {
-		lines := rAccLines(lp, ra.R, ra.U, ra.Count)
+		lines := costmath.RAccLines(lp, ra.R.N, ra.R.W, float64(pattern.Used(ra.U, ra.R)), ra.Count)
 		if lines > lp.L {
 			saved := rho * lines
 			out := cold
@@ -224,7 +245,7 @@ func stateAdjusted(lp levelParams, st State, p pattern.Pattern) Misses {
 // fraction ρ, a uniformly chosen line of the sub-region is resident with
 // (at least) probability ρ. This extension lets recursive patterns such
 // as quick-sort inherit residency from the enclosing segment.
-func effectiveRho(st State, r *region.Region) float64 {
+func effectiveRho(st state, r *region.Region) float64 {
 	rho := st[r]
 	for p := r.Parent; p != nil; p = p.Parent {
 		if f := st[p]; f > rho {
@@ -251,21 +272,21 @@ func isRandomPattern(p pattern.Pattern) bool {
 
 // resultState returns the cache state a basic pattern leaves behind: the
 // fraction of its region that fits in the (possibly scaled) cache.
-func resultState(lp levelParams, p pattern.Pattern) State {
+func resultState(lp levelParams, p pattern.Pattern) state {
 	regions := p.Regions()
 	if len(regions) != 1 {
-		return State{}
+		return state{}
 	}
 	r := regions[0]
 	size := float64(r.Size())
 	if size <= 0 {
-		return State{}
+		return state{}
 	}
 	rho := lp.C / size
 	if rho > 1 {
 		rho = 1
 	}
-	return State{r: rho}
+	return state{r: rho}
 }
 
 // footprint returns F(P): the number of cache lines the pattern
@@ -276,19 +297,19 @@ func footprint(lp levelParams, p pattern.Pattern) float64 {
 	case pattern.STrav:
 		return 1
 	case pattern.RTrav:
-		if !gapSmall(q.R, used(q.U, q.R), lp.B) {
+		if !costmath.GapSmall(q.R.W, float64(pattern.Used(q.U, q.R)), lp.B) {
 			// Each line serves exactly one access; nothing is revisited.
 			return 1
 		}
-		return linesCovered(q.R, lp.B)
+		return costmath.LinesCovered(q.R.Size(), lp.B)
 	case pattern.RSTrav:
-		return linesCovered(q.R, lp.B)
+		return costmath.LinesCovered(q.R.Size(), lp.B)
 	case pattern.RRTrav:
-		return linesCovered(q.R, lp.B)
+		return costmath.LinesCovered(q.R.Size(), lp.B)
 	case pattern.RAcc:
-		return linesCovered(q.R, lp.B)
+		return costmath.LinesCovered(q.R.Size(), lp.B)
 	case pattern.Nest:
-		return linesCovered(q.R, lp.B)
+		return costmath.LinesCovered(q.R.Size(), lp.B)
 	case pattern.Seq:
 		// Sub-patterns run one after another; at any time at most one of
 		// them occupies the cache.
@@ -308,10 +329,4 @@ func footprint(lp levelParams, p pattern.Pattern) float64 {
 	default:
 		panic("cost: footprint of unknown pattern")
 	}
-}
-
-// Footprint exposes the footprint (in lines of the given level index of
-// the model's hierarchy) for tests and diagnostics.
-func (m *Model) Footprint(levelIdx int, p pattern.Pattern) float64 {
-	return footprint(paramsFor(m.hier.Levels[levelIdx]), p)
 }

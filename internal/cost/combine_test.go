@@ -141,27 +141,27 @@ func TestConcStreamsDoNotStealCache(t *testing.T) {
 }
 
 func TestFootprints(t *testing.T) {
-	m := MustNew(hardware.Origin2000())
+	lp := l1()
 	r := region.New("U", 8192, 8) // 64kB, 2048 L1 lines
-	if got := m.Footprint(0, pattern.STrav{R: r}); got != 1 {
+	if got := footprint(lp, pattern.STrav{R: r}); got != 1 {
 		t.Errorf("s_trav footprint = %g, want 1", got)
 	}
-	if got := m.Footprint(0, pattern.RTrav{R: r}); got != 2048 {
+	if got := footprint(lp, pattern.RTrav{R: r}); got != 2048 {
 		t.Errorf("dense r_trav footprint = %g, want 2048", got)
 	}
 	sparse := region.New("S", 100, 256)
-	if got := m.Footprint(0, pattern.RTrav{R: sparse, U: 8}); got != 1 {
+	if got := footprint(lp, pattern.RTrav{R: sparse, U: 8}); got != 1 {
 		t.Errorf("sparse r_trav footprint = %g, want 1", got)
 	}
-	if got := m.Footprint(0, pattern.RSTrav{R: r, Repeats: 2, Dir: pattern.Bi}); got != 2048 {
+	if got := footprint(lp, pattern.RSTrav{R: r, Repeats: 2, Dir: pattern.Bi}); got != 2048 {
 		t.Errorf("rs_trav footprint = %g", got)
 	}
 	seq := pattern.Seq{pattern.RTrav{R: r}, pattern.STrav{R: r}}
-	if got := m.Footprint(0, seq); got != 2048 {
+	if got := footprint(lp, seq); got != 2048 {
 		t.Errorf("Seq footprint = %g, want max 2048", got)
 	}
 	conc := pattern.Conc{pattern.RTrav{R: r}, pattern.RTrav{R: r}}
-	if got := m.Footprint(0, conc); got != 4096 {
+	if got := footprint(lp, conc); got != 4096 {
 		t.Errorf("Conc footprint = %g, want sum 4096", got)
 	}
 }
@@ -171,8 +171,8 @@ func TestEvaluateValidates(t *testing.T) {
 	if _, err := m.Evaluate(pattern.Seq{}); err == nil {
 		t.Error("empty Seq accepted")
 	}
-	if _, _, err := m.EvaluateFrom([]State{{}}, pattern.STrav{R: region.New("U", 1, 8)}); err == nil {
-		t.Error("state-count mismatch accepted")
+	if _, err := m.EvaluateTree(pattern.Seq{}); err == nil {
+		t.Error("EvaluateTree accepted an empty Seq")
 	}
 }
 
@@ -209,11 +209,11 @@ func TestResultLevelLookup(t *testing.T) {
 
 func TestStateClone(t *testing.T) {
 	r := region.New("U", 10, 8)
-	s := State{r: 0.5}
-	c := s.Clone()
+	s := state{r: 0.5}
+	c := s.clone()
 	c[r] = 0.9
 	if s[r] != 0.5 {
-		t.Error("Clone aliases the original")
+		t.Error("clone aliases the original")
 	}
 }
 

@@ -11,8 +11,6 @@
 package cost
 
 import (
-	"fmt"
-
 	"repro/internal/costir"
 	"repro/internal/costmath"
 	"repro/internal/hardware"
@@ -27,14 +25,13 @@ import (
 // conversion.
 type Misses = costmath.Misses
 
-// State describes the contents of one cache level as the fraction of
+// state describes the contents of one cache level as the fraction of
 // each data region that is resident (the paper's set of ⟨R, ρ⟩ pairs).
 // Regions not present are not cached at all.
-type State map[*region.Region]float64
+type state map[*region.Region]float64
 
-// Clone returns a copy of the state.
-func (s State) Clone() State {
-	out := make(State, len(s))
+func (s state) clone() state {
+	out := make(state, len(s))
 	for r, f := range s {
 		out[r] = f
 	}
@@ -104,15 +101,6 @@ func MustNew(h *hardware.Hierarchy) *Model {
 // Hierarchy returns the model's hardware hierarchy.
 func (m *Model) Hierarchy() *hardware.Hierarchy { return m.hier }
 
-// ColdStates returns an all-empty initial cache state, one per level.
-func (m *Model) ColdStates() []State {
-	out := make([]State, len(m.hier.Levels))
-	for i := range out {
-		out[i] = State{}
-	}
-	return out
-}
-
 // Evaluate predicts the misses of p on cold caches. It is a thin
 // wrapper over the flat-IR path: the pattern is compiled once
 // (canonicalized, regions deduplicated) and evaluated by the
@@ -141,35 +129,26 @@ func (m *Model) EvaluateCompiled(prog *costir.Program) *Result {
 
 // EvaluateTree predicts the misses of p on cold caches using the
 // original recursive tree walker. It is retained as the reference
-// oracle the IR evaluator is property-tested against (and as the
-// engine behind Explain and EvaluateFrom, which need per-node and
-// warm-state access the flat program does not expose). Production
-// callers should use Evaluate.
+// oracle the IR evaluator is property-tested against, and as the engine
+// behind Explain, which needs the per-node view the flat program does
+// not expose. Production callers should use Evaluate.
 func (m *Model) EvaluateTree(p pattern.Pattern) (*Result, error) {
-	res, _, err := m.EvaluateFrom(m.ColdStates(), p)
-	return res, err
+	return m.walk(p, nil)
 }
 
-// EvaluateFrom predicts the misses of p given per-level initial cache
-// states, returning also the per-level states after p completed. It
-// always uses the tree walker: arbitrary warm states are keyed by
-// region pointer, which the compiled representation abstracts away.
-func (m *Model) EvaluateFrom(states []State, p pattern.Pattern) (*Result, []State, error) {
+// walk runs the tree walker over p once per hierarchy level, starting
+// from empty caches, with rec (nil for none) recording Explain rows.
+func (m *Model) walk(p pattern.Pattern, rec *recorder) (*Result, error) {
 	if err := pattern.Validate(p); err != nil {
-		return nil, nil, err
-	}
-	if len(states) != len(m.hier.Levels) {
-		return nil, nil, fmt.Errorf("cost: got %d states for %d levels", len(states), len(m.hier.Levels))
+		return nil, err
 	}
 	res := &Result{PerLevel: make([]LevelResult, len(m.hier.Levels))}
-	after := make([]State, len(m.hier.Levels))
 	for i, spec := range m.hier.Levels {
-		lp := paramsFor(spec)
-		mi, st := evalLevel(lp, states[i], p)
+		rec.startPass(i)
+		mi, _ := evalLevel(paramsFor(spec), state{}, p, rec)
 		res.PerLevel[i] = LevelResult{Level: spec, Misses: mi}
-		after[i] = st
 	}
-	return res, after, nil
+	return res, nil
 }
 
 // MemoryTimeNS predicts T_mem for p on cold caches (Eq. 3.1).

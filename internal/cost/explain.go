@@ -11,7 +11,8 @@ import (
 // Explain produces an itemized cost breakdown of a pattern: for every
 // node of the pattern tree, its per-level misses and memory time, with
 // cache state threaded exactly as in Evaluate. Optimizer developers use
-// it to see *where* a plan's memory cost comes from.
+// it to see *where* a plan's memory cost comes from. A ⊙ child and
+// everything under it is a single row.
 
 // ExplainNode is one pattern-tree node's contribution.
 type ExplainNode struct {
@@ -59,129 +60,73 @@ func (e *Explanation) Render(w io.Writer) {
 }
 
 // Explain evaluates p on cold caches and returns the itemized breakdown.
-// The totals equal Evaluate's result exactly.
+// It runs the same walk as EvaluateTree with a recorder attached, so
+// the root row equals EvaluateTree's result bit for bit.
 func (m *Model) Explain(p pattern.Pattern) (*Explanation, error) {
-	if err := pattern.Validate(p); err != nil {
+	rec := &recorder{levels: len(m.hier.Levels)}
+	if _, err := m.walk(p, rec); err != nil {
 		return nil, err
 	}
-	e := &Explanation{Model: m}
-	states := m.ColdStates()
-	lps := make([]levelParams, len(m.hier.Levels))
-	for i, spec := range m.hier.Levels {
-		lps[i] = paramsFor(spec)
+	for i := range rec.rows {
+		n := &rec.rows[i]
+		for li, l := range m.hier.Levels {
+			n.TimeNS += LevelResult{Level: l, Misses: n.PerLevel[li]}.MemoryTimeNS()
+		}
 	}
-	e.explain(lps, states, p, 0)
-	return e, nil
+	return &Explanation{Model: m, Nodes: rec.rows}, nil
 }
 
-// explain walks the pattern tree mirroring evalLevel's state threading,
-// appending one ExplainNode per tree node; it returns the node's
-// per-level misses and the per-level states after it ran.
-func (e *Explanation) explain(lps []levelParams, states []State, p pattern.Pattern, depth int) ([]Misses, []State) {
-	idx := len(e.Nodes)
-	node := ExplainNode{Pattern: p.String(), Depth: depth, Kind: "basic"}
-	e.Nodes = append(e.Nodes, node)
+// recorder collects Explain's rows while evalLevel walks a pattern, one
+// pass per hierarchy level. Every pass visits the nodes in the same
+// preorder, so the first pass appends the rows and each later pass
+// fills in its own level's misses by position. A nil recorder records
+// nothing.
+type recorder struct {
+	rows   []ExplainNode
+	levels int // hierarchy levels, the length of each row's PerLevel
+	level  int // hierarchy level of the current pass
+	next   int // preorder position of the next row
+	depth  int // tree depth of the next row
+}
 
-	switch q := p.(type) {
-	case pattern.Seq:
-		node.Kind = "seq"
-		node.Pattern = fmt.Sprintf("seq of %d", len(q))
-		total := make([]Misses, len(lps))
-		cur := states
-		for _, sub := range q {
-			var mi []Misses
-			mi, cur = e.explain(lps, cur, sub, depth+1)
-			for i := range total {
-				total[i] = total[i].Add(mi[i])
-			}
-		}
-		node.PerLevel = total
-		node.TimeNS = e.timeOf(total)
-		e.Nodes[idx] = node
-		return total, cur
-
-	case pattern.Conc:
-		node.Kind = "conc"
-		node.Pattern = fmt.Sprintf("conc of %d", len(q))
-		total := make([]Misses, len(lps))
-		after := make([]State, len(lps))
-		for i := range after {
-			after[i] = State{}
-		}
-		// Mirror evalLevel's division per level for each child.
-		for _, sub := range q {
-			subMisses := make([]Misses, len(lps))
-			subStates := make([]State, len(lps))
-			for i, lp := range lps {
-				totalFoot := footprint(lp, q)
-				nu := 1.0
-				if totalFoot > 0 {
-					nu = footprint(lp, sub) / totalFoot
-				}
-				if nu <= 0 {
-					nu = 1 / lp.L
-				}
-				mi, st := evalLevel(lp.Scaled(nu), states[i], sub)
-				subMisses[i] = mi
-				subStates[i] = st
-			}
-			e.appendChild(lps, subMisses, sub, depth+1)
-			for i := range total {
-				total[i] = total[i].Add(subMisses[i])
-				for r, f := range subStates[i] {
-					if f > after[i][r] {
-						after[i][r] = f
-					}
-				}
-			}
-		}
-		for i := range after {
-			after[i] = mergeState(lps[i], states[i], after[i])
-		}
-		node.PerLevel = total
-		node.TimeNS = e.timeOf(total)
-		e.Nodes[idx] = node
-		return total, after
-
-	default:
-		mi := make([]Misses, len(lps))
-		after := make([]State, len(lps))
-		for i, lp := range lps {
-			m, st := evalLevel(lp, states[i], p)
-			mi[i] = m
-			after[i] = st
-		}
-		node.PerLevel = mi
-		node.TimeNS = e.timeOf(mi)
-		e.Nodes[idx] = node
-		return mi, after
+// startPass rewinds the recorder for the pass over hierarchy level i.
+func (r *recorder) startPass(i int) {
+	if r != nil {
+		r.level, r.next, r.depth = i, 0, 0
 	}
 }
 
-// appendChild records a concurrent child's contribution without
-// re-walking its subtree with unscaled parameters (the division already
-// happened); nested compounds under ⊙ appear as single summarized rows.
-func (e *Explanation) appendChild(lps []levelParams, mi []Misses, p pattern.Pattern, depth int) {
-	kind := "basic"
-	switch p.(type) {
-	case pattern.Seq:
-		kind = "seq"
-	case pattern.Conc:
-		kind = "conc"
+// open starts p's row and returns its position; rows opened before the
+// matching close are p's children. A walked compound is labelled by its
+// arity. A summary row, a ⊙ child the walk does not descend into on the
+// hierarchy's own cache, is labelled with its full rendering.
+func (r *recorder) open(p pattern.Pattern, summary bool) int {
+	if r == nil {
+		return 0
 	}
-	e.Nodes = append(e.Nodes, ExplainNode{
-		Pattern:  p.String(),
-		Depth:    depth,
-		Kind:     kind,
-		PerLevel: mi,
-		TimeNS:   e.timeOf(mi),
-	})
+	i := r.next
+	r.next++
+	if r.level == 0 {
+		kind, label := "basic", ""
+		switch q := p.(type) {
+		case pattern.Seq:
+			kind, label = "seq", fmt.Sprintf("seq of %d", len(q))
+		case pattern.Conc:
+			kind, label = "conc", fmt.Sprintf("conc of %d", len(q))
+		}
+		if summary || kind == "basic" {
+			label = p.String()
+		}
+		r.rows = append(r.rows, ExplainNode{Pattern: label, Depth: r.depth, Kind: kind, PerLevel: make([]Misses, r.levels)})
+	}
+	r.depth++
+	return i
 }
 
-func (e *Explanation) timeOf(mi []Misses) float64 {
-	var t float64
-	for i, l := range e.Model.Hierarchy().Levels {
-		t += mi[i].Seq*l.SeqMissLatency + mi[i].Rnd*l.RndMissLatency
+// close records the misses of the row opened at position i.
+func (r *recorder) close(i int, mi Misses) {
+	if r != nil {
+		r.depth--
+		r.rows[i].PerLevel[r.level] = mi
 	}
-	return t
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/hardware"
 	"repro/internal/pattern"
 	"repro/internal/region"
@@ -24,8 +23,8 @@ import (
 // exact agreement (up to float reassociation) is required.
 
 // relTol absorbs float reassociation: the IR sums misses and resident
-// bytes in canonical (sorted) child order, the tree walker in source
-// order and nondeterministic map order.
+// bytes in canonical (sorted) child order, the tree walker misses in
+// source order and resident bytes in ascending order of the terms.
 const relTol = 1e-6
 
 func assertParity(t *testing.T, m *Model, p pattern.Pattern) {
@@ -168,37 +167,10 @@ func TestIRMatchesTreeOnRandomPatterns(t *testing.T) {
 }
 
 // TestIRMatchesTreeOnOperatorPatterns pins parity on every pattern the
-// engine and planner actually emit, including the 256-way partitioned
-// hash join (the heaviest pattern: >500 sub-patterns, >700 regions,
-// exercising the bounded-state path).
+// engine and planner actually emit.
 func TestIRMatchesTreeOnOperatorPatterns(t *testing.T) {
 	m := MustNew(hardware.Origin2000())
-	n := int64(1 << 18)
-	u := region.New("U", n, 16)
-	v := region.New("V", n, 16)
-	w := region.New("W", n, 16)
-	h := engine.HashRegionFor("H", n)
-	agg := engine.AggRegionFor("A", 1024)
-
-	pats := []pattern.Pattern{
-		engine.ScanPattern(u, 8),
-		engine.SelectPattern(u, w),
-		engine.ProjectPattern(u, w, 8),
-		engine.MergeJoinPattern(u, v, w),
-		engine.NestedLoopJoinPattern(region.New("U", 2048, 16), region.New("V", 2048, 16), region.New("W", 2048, 16)),
-		engine.HashBuildPattern(v, h),
-		engine.HashProbePattern(u, h, w),
-		engine.HashJoinPattern(u, v, h, w),
-		engine.PartitionPattern(u, region.New("X", n, 16), 64),
-		engine.PartitionedHashJoinPattern(u, v, w, 16),
-		engine.PartitionedHashJoinPattern(u, v, w, 256),
-		engine.HashAggregatePattern(u, agg),
-		engine.HashDedupPattern(u, h, w),
-		engine.SortDedupPattern(u, w, 32<<10),
-		engine.QuickSortPattern(u, 32<<10),
-		engine.QuickSortPattern(region.New("Q", 4096, 16), 0),
-	}
-	for _, p := range pats {
+	for _, p := range operatorPatterns() {
 		assertParity(t, m, p)
 	}
 }

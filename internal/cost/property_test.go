@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/costmath"
 	"repro/internal/hardware"
 	"repro/internal/pattern"
 	"repro/internal/region"
@@ -39,11 +40,11 @@ func TestPropertySTravLowerBoundsRTrav(t *testing.T) {
 	// sequential traversal of the same region.
 	f := func(nRaw uint32, wRaw uint16, uRaw uint16) bool {
 		r := geometry(nRaw, wRaw)
-		u := int64(uRaw) % (r.W + 1)
+		u := float64(pattern.Used(int64(uRaw)%(r.W+1), r))
 		for _, mk := range hardware.Profiles() {
 			for _, lvl := range mk().Levels {
 				lp := paramsFor(lvl)
-				if rTravCount(lp, r, u) < sTravCount(lp, r, u)-1e-6 {
+				if costmath.RTravCount(lp, r.N, r.W, u) < costmath.STravCount(lp, r.N, r.W, u)-1e-6 {
 					return false
 				}
 			}
@@ -60,14 +61,14 @@ func TestPropertySparseCountsCoincide(t *testing.T) {
 	f := func(nRaw uint32, bIdx uint8) bool {
 		n := int64(nRaw%100_000) + 1
 		r := region.New("R", n, 4096) // wide items
-		u := int64(8)
+		u := 8.0
 		for _, mk := range hardware.Profiles() {
 			for _, lvl := range mk().Levels {
 				lp := paramsFor(lvl)
-				if float64(r.W)-float64(u) < lp.B {
+				if float64(r.W)-u < lp.B {
 					continue
 				}
-				if math.Abs(sTravCount(lp, r, u)-rTravCount(lp, r, u)) > 1e-6 {
+				if math.Abs(costmath.STravCount(lp, r.N, r.W, u)-costmath.RTravCount(lp, r.N, r.W, u)) > 1e-6 {
 					return false
 				}
 			}
@@ -129,15 +130,15 @@ func TestPropertyRepeatsMonotone(t *testing.T) {
 		for _, mk := range hardware.Profiles() {
 			for _, lvl := range mk().Levels {
 				lp := paramsFor(lvl)
-				m0 := sTravCount(lp, r, 0)
-				if rsTravCount(lp, m0, k+1, pattern.Uni) < rsTravCount(lp, m0, k, pattern.Uni)-1e-9 {
+				m0 := costmath.STravCount(lp, r.N, r.W, float64(r.W))
+				if costmath.RSTravCount(lp, m0, k+1, pattern.Uni) < costmath.RSTravCount(lp, m0, k, pattern.Uni)-1e-9 {
 					return false
 				}
-				if rsTravCount(lp, m0, k+1, pattern.Bi) < rsTravCount(lp, m0, k, pattern.Bi)-1e-9 {
+				if costmath.RSTravCount(lp, m0, k+1, pattern.Bi) < costmath.RSTravCount(lp, m0, k, pattern.Bi)-1e-9 {
 					return false
 				}
-				r0 := rTravCount(lp, r, 0)
-				if rrTravCount(lp, r0, k+1) < rrTravCount(lp, r0, k)-1e-9 {
+				r0 := costmath.RTravCount(lp, r.N, r.W, float64(r.W))
+				if costmath.RRTravCount(lp, r0, k+1) < costmath.RRTravCount(lp, r0, k)-1e-9 {
 					return false
 				}
 			}

@@ -4,9 +4,11 @@ package costir_test
 // pattern tree and checks the headline guarantee of the cost IR: the
 // compiled evaluator and the reference tree walker agree on every
 // hierarchy level within 1e-9 relative. It also holds the program's
-// canonical form to the concatenating oracle (oracle_test.go). (This test lives in an
-// external test package so it can drive both evaluators through
-// internal/cost without an import cycle.)
+// canonical form to the concatenating oracle (oracle_test.go), and the
+// tree walker to itself: a second EvaluateTree and the root of Explain
+// return EvaluateTree's bits exactly. (This test lives in an external
+// test package so it can drive both evaluators through internal/cost
+// without an import cycle.)
 
 import (
 	"fmt"
@@ -170,6 +172,25 @@ func FuzzCompileParity(f *testing.F) {
 			if err != nil {
 				t.Fatalf("EvaluateTree(%v): %v", p, err)
 			}
+			again, err := m.EvaluateTree(p)
+			if err != nil {
+				t.Fatalf("EvaluateTree(%v): %v", p, err)
+			}
+			exp, err := m.Explain(p)
+			if err != nil {
+				t.Fatalf("Explain(%v): %v", p, err)
+			}
+			for li, lr := range ref.PerLevel {
+				want := missBits(lr.Misses)
+				if got := missBits(again.PerLevel[li].Misses); got != want {
+					t.Fatalf("EvaluateTree not deterministic on %s level %s for %v:\n  first:  %s\n  second: %s",
+						h.Name, lr.Level.Name, p, want, got)
+				}
+				if got := missBits(exp.Total().PerLevel[li]); got != want {
+					t.Fatalf("Explain root differs from EvaluateTree on %s level %s for %v:\n  tree:    %s\n  explain: %s",
+						h.Name, lr.Level.Name, p, want, got)
+				}
+			}
 			got := m.EvaluateCompiled(prog)
 			for li := range ref.PerLevel {
 				for _, pair := range [2][2]float64{
@@ -189,4 +210,9 @@ func FuzzCompileParity(f *testing.F) {
 			}
 		}
 	})
+}
+
+// missBits renders a miss pair's exact float64 bits.
+func missBits(m cost.Misses) string {
+	return fmt.Sprintf("%x/%x", math.Float64bits(m.Seq), math.Float64bits(m.Rnd))
 }

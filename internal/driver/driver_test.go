@@ -9,6 +9,11 @@ import (
 	"repro/internal/workload"
 )
 
+// observerFunc adapts a function to the vmem.Observer interface.
+type observerFunc func(vmem.Access)
+
+func (f observerFunc) OnAccess(a vmem.Access) { f(a) }
+
 // recorded runs p and returns the raw access trace.
 func recorded(t *testing.T, p pattern.Pattern, mats ...*region.Region) []vmem.Access {
 	t.Helper()
@@ -17,7 +22,7 @@ func recorded(t *testing.T, p pattern.Pattern, mats ...*region.Region) []vmem.Ac
 		Materialize(mem, r, 64)
 	}
 	var log []vmem.Access
-	mem.SetObserver(vmem.ObserverFunc(func(a vmem.Access) { log = append(log, a) }))
+	mem.SetObserver(observerFunc(func(a vmem.Access) { log = append(log, a) }))
 	Run(mem, workload.NewRNG(1), p)
 	return log
 }
@@ -249,7 +254,7 @@ func TestDeterminism(t *testing.T) {
 		mem := vmem.New(1 << 20)
 		Materialize(mem, r, 64)
 		var log []vmem.Access
-		mem.SetObserver(vmem.ObserverFunc(func(a vmem.Access) { log = append(log, a) }))
+		mem.SetObserver(observerFunc(func(a vmem.Access) { log = append(log, a) }))
 		Run(mem, workload.NewRNG(99), pattern.RTrav{R: r})
 		return log
 	}

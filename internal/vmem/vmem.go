@@ -32,12 +32,6 @@ type Observer interface {
 	OnAccess(Access)
 }
 
-// ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc func(Access)
-
-// OnAccess calls f(a).
-func (f ObserverFunc) OnAccess(a Access) { f(a) }
-
 // Memory is a simulated flat memory with a bump allocator.
 // The zero value is unusable; use New.
 type Memory struct {

@@ -2,6 +2,11 @@ package vmem
 
 import "testing"
 
+// observerFunc adapts a function to the Observer interface.
+type observerFunc func(Access)
+
+func (f observerFunc) OnAccess(a Access) { f(a) }
+
 func TestAllocAlignment(t *testing.T) {
 	m := New(1 << 16)
 	a := m.Alloc(10, 1)
@@ -46,7 +51,7 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 func TestObserverSeesAccesses(t *testing.T) {
 	m := New(1 << 12)
 	var log []Access
-	m.SetObserver(ObserverFunc(func(a Access) { log = append(log, a) }))
+	m.SetObserver(observerFunc(func(a Access) { log = append(log, a) }))
 	a := m.Alloc(64, 8)
 	m.Store64(a, 1)
 	m.Load64(a)
@@ -71,7 +76,7 @@ func TestObserverSeesAccesses(t *testing.T) {
 func TestRawIsUnobserved(t *testing.T) {
 	m := New(1 << 12)
 	count := 0
-	m.SetObserver(ObserverFunc(func(Access) { count++ }))
+	m.SetObserver(observerFunc(func(Access) { count++ }))
 	a := m.Alloc(16, 1)
 	raw := m.Raw(a, 16)
 	raw[0] = 42

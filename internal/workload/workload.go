@@ -64,11 +64,6 @@ func (r *RNG) Intn(n int64) int64 {
 	}
 }
 
-// Float64 returns a pseudo-random float64 in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / float64(1<<53)
-}
-
 // Permutation returns a pseudo-random permutation of [0, n).
 func (r *RNG) Permutation(n int64) []int64 {
 	p := make([]int64, n)

@@ -100,16 +100,6 @@ func TestIntnPowerOfTwoMask(t *testing.T) {
 	}
 }
 
-func TestFloat64Range(t *testing.T) {
-	r := NewRNG(4)
-	for i := 0; i < 1000; i++ {
-		f := r.Float64()
-		if f < 0 || f >= 1 {
-			t.Fatalf("Float64() = %g", f)
-		}
-	}
-}
-
 func TestPermutationIsPermutation(t *testing.T) {
 	f := func(seed uint64, na uint8) bool {
 		n := int64(na)%200 + 1
